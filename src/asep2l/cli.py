@@ -151,7 +151,12 @@ def _cmd_oracle(args) -> int:
     r = oracle.rates_from_params(p)
     if args.simulate:
         result = oracle.gillespie_simulate(
-            args.L, r, horizon=args.horizon, burn_in=args.burn_in, seed=args.seed
+            args.L,
+            r,
+            horizon=args.horizon,
+            burn_in=args.burn_in,
+            seed=args.seed,
+            max_L=args.max_L,
         )
         lines = []
         if result.config_freq is not None:

@@ -8,13 +8,19 @@ boundary constraint used throughout this package, gamma = q(1-alpha) and
 delta = q(1-beta) with alpha = 1/(1+A), beta = 1/(1+B).
 
 The stationary distribution is the one-dimensional nullspace of the
-transposed generator, normalized to total mass one. Two exact solvers are
-provided: dense fraction-free (Bareiss) elimination over the integers for
-small state spaces, and p-adic lifting (one LU factorization modulo a
-word-sized prime, iterated residue refinement, then rational
-reconstruction) for larger ones. Either way the result is verified
-exactly against the generator before it is returned, and solvability
-modulo the prime certifies that the nullspace is one-dimensional.
+transposed generator, normalized to total mass one. Bulk hops keep the
+particle number N and boundary moves change it by one, so with the states
+ordered by N the transposed generator is block tridiagonal, with blocks
+of size C(L, N). stationary_exact pins the empty state to 1, eliminates
+block by block modulo a word-sized prime (Schur complements, each
+factored by a dense LU), and lifts that factorization p-adically to the
+exact rational solution (Dixon's method with rational reconstruction).
+This costs sum_N C(L, N)**3 operations per prime instead of 8**L for one
+dense LU. The result is normalized and verified exactly against the
+generator, x @ G = 0 and sum(x) = 1, before it is returned, and
+solvability modulo the prime certifies that the nullspace is
+one-dimensional. The dense solver solve_dixon is kept as the small-system
+cross-check.
 
 The Gillespie simulator at the bottom is the only floating-point code in
 the package.
@@ -25,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -156,33 +162,18 @@ def _integer_transpose(g: GeneratorMatrix):
     return cols
 
 
-def solve_bareiss(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Fraction-free Gaussian elimination for an integer square system."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise SingularSystem("singular system in exact elimination")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            fi = aug[i][k]
-            rowi = aug[i]
-            rowk = aug[k]
-            for j in range(k + 1, n + 1):
-                rowi[j] = (pivot * rowi[j] - fi * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pivot
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        s = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            s -= aug[i][j] * x[j]
-        x[i] = s / aug[i][i]
-    return x
+def particle_blocks(L: int) -> list[np.ndarray]:
+    """The occupation words grouped by particle number N = 0..L.
+
+    Block N holds the C(L, N) words with N particles, in increasing order.
+    Bulk hops stay inside a block and boundary moves reach a neighbouring
+    one, so in this order the generator is block tridiagonal.
+    """
+    words = np.arange(1 << L)
+    counts = np.zeros_like(words)
+    for i in range(L):
+        counts += (words >> i) & 1
+    return [words[counts == n] for n in range(L + 1)]
 
 
 def _is_prime(n: int) -> bool:
@@ -208,13 +199,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes_near(start: int, count: int) -> list[int]:
+def _primes_for(k: int, count: int = 5) -> list[int]:
+    """The largest `count` primes p <= 2**25 with k * p**2 < 2**63.
+
+    Every mod-p kernel below adds at most k products of residues to a
+    residue, a sum below k * p**2, so none of its int64 sums can overflow.
+    """
+    top = min(1 << 25, isqrt((2**63 - 1) // k))
+    n = top - 1 + top % 2  # the largest odd number <= top
     out = []
-    n = start | 1
     while len(out) < count:
         if _is_prime(n):
             out.append(n)
-        n += 2
+        n -= 2
+    assert k * out[0] ** 2 < 2**63
     return out
 
 
@@ -223,11 +221,17 @@ class _SingularModP(Exception):
 
 
 def _lu_mod_p(dense: np.ndarray, p: int):
-    """In-place LU with partial pivoting over GF(p); returns (lu, perm)."""
+    """LU with partial pivoting over GF(p); returns (lu, perm, inv_diag).
+
+    The trailing matrix is reduced lazily: an entry only collects
+    products below p**2, at most one per step, until its row or column
+    is reduced as the pivot's (see _primes_for for the int64 bound).
+    """
     a = dense % p
     n = a.shape[0]
     perm = np.arange(n)
     for k in range(n):
+        a[k:, k] %= p
         nz = np.nonzero(a[k:, k])[0]
         if nz.size == 0:
             raise _SingularModP
@@ -235,27 +239,22 @@ def _lu_mod_p(dense: np.ndarray, p: int):
         if piv != k:
             a[[k, piv]] = a[[piv, k]]
             perm[[k, piv]] = perm[[piv, k]]
+        a[k, k + 1 :] %= p
         inv = pow(int(a[k, k]), p - 2, p)
-        if k + 1 < n:
-            mult = (a[k + 1 :, k] * inv) % p
-            a[k + 1 :, k] = mult
-            a[k + 1 :, k + 1 :] = (
-                a[k + 1 :, k + 1 :] - mult[:, None] * a[k, k + 1 :][None, :]
-            ) % p
+        mult = (a[k + 1 :, k] * inv) % p
+        a[k + 1 :, k] = mult
+        a[k + 1 :, k + 1 :] -= np.multiply.outer(mult, a[k, k + 1 :])
     inv_diag = np.array([pow(int(a[i, i]), p - 2, p) for i in range(n)], dtype=np.int64)
     return a, perm, inv_diag
 
 
 def _solve_mod_p(lu, perm, inv_diag, b: np.ndarray, p: int) -> np.ndarray:
-    n = lu.shape[0]
-    y = np.zeros(n, dtype=np.int64)
-    pb = b[perm]
-    for i in range(n):
-        y[i] = (pb[i] - np.dot(lu[i, :i], y[:i])) % p
-    x = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        s = (y[i] - np.dot(lu[i, i + 1 :], x[i + 1 :])) % p
-        x[i] = s * int(inv_diag[i]) % p
+    """Solve with the factors of _lu_mod_p; b is a vector or a matrix."""
+    x = b[perm] % p
+    for i in range(1, len(x)):
+        x[i] = (x[i] - lu[i, :i] @ x[:i]) % p
+    for i in reversed(range(len(x))):
+        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) % p * inv_diag[i] % p
     return x
 
 
@@ -276,92 +275,208 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(num, den)
 
 
+def _reconstruct_all(values: np.ndarray, m: int) -> list[Fraction] | None:
+    out = []
+    for v in values:
+        f = _rational_reconstruct(int(v), m)
+        if f is None:
+            return None
+        out.append(f)
+    return out
+
+
+def _ell(rows: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse integer rows, zero-padded to one width: (columns, exact values)."""
+    width = max(map(len, rows), default=0)
+    idx = np.zeros((len(rows), width), dtype=np.int64)
+    val = np.zeros((len(rows), width), dtype=object)
+    for i, row in enumerate(rows):
+        idx[i, : len(row)] = list(row)
+        val[i, : len(row)] = list(row.values())
+    return idx, val
+
+
+def _gather(idx: np.ndarray, val: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sparse rows (idx, val) times a vector or matrix x, unreduced."""
+    return np.einsum("rk,rk...->r...", val, x[idx])
+
+
+def _dense_mod_p(rows: list[dict[int, int]], width: int, p: int) -> np.ndarray:
+    a = np.zeros((len(rows), width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            a[i, j] = v % p
+    return a
+
+
+def _dixon(rows, rhs, k: int, factor, max_digits: int = 4096) -> list[Fraction]:
+    """Solve a nonsingular integer system exactly by p-adic lifting.
+
+    Dixon, "Exact solution of linear equations using p-adic expansions",
+    Numer. Math. 40 (1982). `factor(p)` factors the system over GF(p),
+    with kernels that sum at most k products (see _primes_for), and
+    returns its solver; it raises _SingularModP if the system is singular
+    modulo p, and the next prime is tried. Each p-adic digit costs one
+    mod-p solve and one exact product with the system. Entries are
+    recovered by rational reconstruction at doubling checkpoints, and a
+    candidate is returned only once it satisfies the system exactly.
+    """
+    idx, val = _ell(rows)
+    rhs = np.array(rhs, dtype=object)
+
+    def times(x):  # the exact product of the system with x
+        return (val * x[idx]).sum(axis=1)
+
+    for p in _primes_for(k):
+        try:
+            solve = factor(p)
+        except _SingularModP:
+            continue
+        residue = rhs
+        combined = np.zeros(len(rows), dtype=object)
+        p_power = 1
+        checkpoint = 8
+        for digits in range(1, max_digits + 1):
+            xk = solve((residue % p).astype(np.int64)).astype(object)
+            combined += p_power * xk
+            p_power *= p
+            residue = (residue - times(xk)) // p  # exact: p divides it
+            if digits == checkpoint or digits == max_digits:
+                checkpoint *= 2
+                x = _reconstruct_all(combined, p_power)
+                if x is None:
+                    continue
+                den = lcm(*(f.denominator for f in x))
+                num = [f.numerator * (den // f.denominator) for f in x]
+                if (times(np.array(num, dtype=object)) == den * rhs).all():
+                    return x
+        raise SingularSystem("p-adic lifting did not converge")
+    raise SingularSystem("system singular modulo every tested prime")
+
+
 def solve_dixon(
     rows: list[dict[int, int]], rhs: list[int], max_digits: int = 4096
 ) -> list[Fraction]:
-    """Solve an integer system exactly by p-adic lifting.
+    """Solve a nonsingular integer system exactly over one dense LU mod p.
 
-    One LU factorization modulo a word-sized prime, then one cheap
-    mod-p solve per p-adic digit; entries are recovered with rational
-    reconstruction and the candidate is verified exactly.
+    This is the small-system cross-check for the block solver inside
+    stationary_exact: it shares the lifting but not the elimination, and
+    costs O(n**3) per prime.
     """
     n = len(rows)
-    for p in _primes_near(1 << 25, 5):
-        dense = np.zeros((n, n), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                dense[i, j] = v % p
-        try:
-            lu, perm, inv_diag = _lu_mod_p(dense, p)
-        except _SingularModP:
-            continue
-        residue = [int(v) for v in rhs]
-        combined = [0] * n
-        p_power = 1
-        digits = 0
-        checkpoint = 8
-        while digits < max_digits:
-            rk = np.array([v % p for v in residue], dtype=np.int64)
-            xk = _solve_mod_p(lu, perm, inv_diag, rk, p)
-            xs = [int(v) for v in xk]
-            for i in range(n):
-                combined[i] += p_power * xs[i]
-            p_power *= p
-            # residue <- (residue - M x_k) / p, exactly
-            new_res = list(residue)
-            for i, row in enumerate(rows):
-                acc = new_res[i]
-                for j, v in row.items():
-                    acc -= v * xs[j]
-                new_res[i] = acc // p
-            residue = new_res
-            digits += 1
-            if digits == checkpoint or digits == max_digits:
-                checkpoint *= 2
-                candidate = []
-                for v in combined:
-                    f = _rational_reconstruct(v, p_power)
-                    if f is None:
-                        break
-                    candidate.append(f)
-                if len(candidate) == n and _verify_integer_solution(
-                    rows, rhs, candidate
-                ):
-                    return candidate
-        raise SingularSystem("p-adic lifting did not converge")
-    raise SingularSystem("matrix singular modulo every tested prime")
+
+    def factor(p):
+        lu = _lu_mod_p(_dense_mod_p(rows, n, p), p)
+        return lambda b: _solve_mod_p(*lu, b, p)
+
+    return _dixon(rows, rhs, n, factor, max_digits)
 
 
-def _verify_integer_solution(rows, rhs, x) -> bool:
-    for i, row in enumerate(rows):
-        acc = Fraction(0)
-        for j, v in row.items():
-            acc += v * x[j]
-        if acc != rhs[i]:
-            return False
-    return True
+def _pinned_blocks(cols, blocks):
+    """Cut the transposed generator, with the empty word pinned, into blocks.
+
+    The unknowns are the words with N >= 1 in block order; x(empty) = 1
+    moves the empty word's column to the right-hand side, and its own
+    equation is dropped. Returns the rows of that system over the
+    unknowns, its right-hand side, and for N = 1..L the rows of D_N (to
+    block N), Lo_N (to N - 1) and Up_N (to N + 1), each with columns
+    local to the block it reaches.
+    """
+    order = np.concatenate(blocks).tolist()
+    index = {w: k - 1 for k, w in enumerate(order)}
+    count, local = [0] * len(order), [0] * len(order)
+    for n, block in enumerate(blocks):
+        for a, w in enumerate(block.tolist()):
+            count[w], local[w] = n, a
+    rows, rhs, parts = [], [], []
+    for n, block in enumerate(blocks[1:], start=1):
+        d, lo, up = [], [], []
+        for w in block.tolist():
+            band = ({}, {}, {})  # Lo, D, Up rows of this word
+            for i, v in cols[w].items():
+                step = count[i] - n
+                if abs(step) > 1:
+                    raise ValueError(
+                        "generator is not block tridiagonal in the particle number"
+                    )
+                if i:
+                    band[step + 1][local[i]] = v
+            lo.append(band[0])
+            d.append(band[1])
+            up.append(band[2])
+            rows.append({index[i]: v for i, v in cols[w].items() if i})
+            rhs.append(-cols[w].get(0, 0))
+        parts.append((d, lo, up))
+    return rows, rhs, parts
 
 
-def stationary_exact(g: GeneratorMatrix, method: str = "auto") -> Distribution:
+def _factor_blocks(parts, p: int):
+    """Block LU of the pinned system over GF(p); returns its solver.
+
+    The Schur complements S_1 = D_1 and S_N = D_N - Lo_N W_{N-1}, with
+    W_N = S_N^{-1} Up_N, are factored by _lu_mod_p. A solve is then one
+    forward sweep, z_N = S_N^{-1} (b_N - Lo_N z_{N-1}), and one backward
+    sweep, x_N = z_N - W_N x_{N+1}. Lo_N holds only boundary entries, at
+    most two per row, so its products gather rows rather than multiply
+    dense matrices.
+    """
+    sizes = [len(d) for d, _, _ in parts]
+    lus, los, ws = [], [], []
+    for t, (d, lo, up) in enumerate(parts):
+        idx, val = _ell(lo)
+        los.append((idx, (val % p).astype(np.int64)))
+        s = _dense_mod_p(d, sizes[t], p)
+        if t:
+            s = (s - _gather(*los[t], ws[-1])) % p
+        lus.append(_lu_mod_p(s, p))
+        if t + 1 < len(parts):
+            ws.append(_solve_mod_p(*lus[t], _dense_mod_p(up, sizes[t + 1], p), p))
+    bounds = np.cumsum([0] + sizes)
+
+    def solve(b):
+        z = []
+        for t, lu in enumerate(lus):
+            y = b[bounds[t] : bounds[t + 1]]
+            if t:
+                y = (y - _gather(*los[t], z[-1])) % p
+            z.append(_solve_mod_p(*lu, y, p))
+        x = [z[-1]]
+        for t in reversed(range(len(ws))):
+            x.append((z[t] - ws[t] @ x[-1]) % p)
+        return np.concatenate(x[::-1])
+
+    return solve
+
+
+def stationary_exact(g: GeneratorMatrix) -> Distribution:
     """The unique probability vector annihilated by the generator.
 
-    Solves the transposed system with the normalization row substituted
-    for the (redundant) last equation, then verifies x @ G = 0 and
-    sum(x) = 1 exactly before returning.
+    With states ordered by particle number (particle_blocks) the
+    transposed generator is block tridiagonal. The empty state is pinned,
+    x(empty) = 1, and its equation dropped; the equations sum to zero, so
+    it is redundant. The remaining square system is solved exactly by
+    p-adic lifting over a block elimination mod p (_factor_blocks), then
+    normalized by sum(x).
+
+    The pin is safe for every generator build_generator makes: alpha =
+    1/(1+A) > 0 and beta = 1/(1+B) > 0, so the chain is irreducible and
+    pi(empty) > 0. Since the empty state is reachable from every state,
+    every Schur complement of the elimination is nonsingular too. A
+    generator whose pinned system is singular raises SingularSystem, and
+    one with a move that changes N by more than one raises ValueError.
+    Nonsingularity modulo a prime certifies that the nullspace is
+    one-dimensional, and x @ G = 0 and sum(x) = 1 are verified exactly
+    before the result is returned.
     """
-    n = g.dim
-    cols = _integer_transpose(g)
-    cols[n - 1] = {j: 1 for j in range(n)}
-    rhs = [0] * (n - 1) + [1]
-    if method == "auto":
-        method = "bareiss" if n <= 64 else "dixon"
-    if method == "bareiss":
-        dense = [[cols[i].get(j, 0) for j in range(n)] for i in range(n)]
-        x = solve_bareiss(dense, rhs)
-    elif method == "dixon":
-        x = solve_dixon(cols, rhs)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    blocks = particle_blocks(g.L)
+    rows, rhs, parts = _pinned_blocks(_integer_transpose(g), blocks)
+    k = max(len(d) for d, _, _ in parts)
+    tail = _dixon(rows, rhs, k, lambda p: _factor_blocks(parts, p))
+    x = [Fraction(0)] * g.dim
+    for w, v in zip(np.concatenate(blocks).tolist(), [Fraction(1)] + tail):
+        x[w] = v
+    total = sum(x, Fraction(0))
+    x = [v / total for v in x]
     if sum(x, Fraction(0)) != 1:
         raise SingularSystem("solution failed exact normalization")
     if any(v != 0 for v in g.apply_left(x)):

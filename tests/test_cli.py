@@ -176,6 +176,13 @@ class TestOracleAndCompare:
         freqs = [float(line.split(",")[1]) for line in lines[1:]]
         assert abs(sum(freqs) - 1.0) < 1e-9
 
+    def test_oracle_simulate_respects_max_L(self, capsys):
+        code, _ = run(
+            capsys, "oracle", "--L", "5", "--q", "1/2", "--A", "1", "--B", "2",
+            "--simulate", "--horizon", "1", "--max-L", "4",
+        )
+        assert code == 2
+
     def test_compare_pass(self, capsys):
         code, out = run(
             capsys, "compare", "--L", "2", "--q", "1/3", "--A", "2", "--B", "3"

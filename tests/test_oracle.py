@@ -2,19 +2,23 @@
 
 import random
 from fractions import Fraction as F
+from math import comb, isqrt
 
 import pytest
+from test_acceptance import AB_GRID, Q_GRID
 
-from asep2l.ensemble import stationary_mu
+from asep2l.ensemble import Distribution, stationary_mu
 from asep2l.errors import EnumerationCapExceeded, SingularSystem
 from asep2l.lattice import Occupation, enumerate_occupations
 from asep2l.oracle import (
     GeneratorMatrix,
     Rates,
+    _integer_transpose,
+    _primes_for,
     build_generator,
     gillespie_simulate,
+    particle_blocks,
     rates_from_params,
-    solve_bareiss,
     solve_dixon,
     stationary_exact,
 )
@@ -27,6 +31,18 @@ POINTS = [
     ModelParams(F(1, 2), F(0), F(0)),
     ModelParams(F(9, 10), F(1), F(1)),
 ]
+ACCEPTANCE_GRID = [ModelParams(q, A, B) for q in Q_GRID for A, B in AB_GRID]
+
+
+def dense_stationary(g: GeneratorMatrix) -> Distribution:
+    """The stationary law by the dense route: the normalization row takes
+    the place of the last equation, and one dense LU mod p is lifted."""
+    n = g.dim
+    cols = _integer_transpose(g)
+    cols[n - 1] = {j: 1 for j in range(n)}
+    x = solve_dixon(cols, [0] * (n - 1) + [1])
+    states = list(enumerate_occupations(g.L, max_L=g.L))
+    return Distribution(states, [x[s.word] for s in states])
 
 
 class TestRates:
@@ -106,11 +122,21 @@ class TestExactSolvers:
         )
         assert dist.prob(Occupation.from_string("1")) == F(1, 2)
 
-    @pytest.mark.parametrize("p", POINTS)
+    @pytest.mark.parametrize("p", POINTS + ACCEPTANCE_GRID)
     def test_methods_agree(self, p):
-        for L in (1, 3, 5):
+        # the block solve by particle number against one dense LU
+        for L in range(1, 9):
             g = build_generator(L, rates_from_params(p))
-            assert stationary_exact(g, "bareiss") == stationary_exact(g, "dixon")
+            assert stationary_exact(g) == dense_stationary(g)
+
+    def test_particle_blocks_partition_the_states(self):
+        for L in range(1, 9):
+            blocks = particle_blocks(L)
+            assert [len(b) for b in blocks] == [comb(L, n) for n in range(L + 1)]
+            words = [int(w) for b in blocks for w in b]
+            assert sorted(words) == list(range(1 << L))
+            for n, block in enumerate(blocks):
+                assert all(bin(int(w)).count("1") == n for w in block)
 
     def test_matches_two_layer_marginal(self):
         p = ModelParams(F(1, 2), F(1), F(2))
@@ -131,21 +157,22 @@ class TestExactSolvers:
         n = 8
         base = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
         rhs = [rng.randrange(-3, 4) for _ in range(n)]
+
+        def sparse(m):
+            return [{j: v for j, v in enumerate(row) if v} for row in m]
+
         x = None
         try:
-            x = solve_bareiss([row[:] for row in base], rhs[:])
+            x = solve_dixon(sparse(base), rhs)
         except SingularSystem:
             pytest.skip("random matrix happened to be singular")
+        assert [sum(a * b for a, b in zip(row, x)) for row in base] == rhs
         perm = list(range(n))
         rng.shuffle(perm)
         pm = [[base[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
         pb = [rhs[perm[i]] for i in range(n)]
-        px = solve_bareiss(pm, pb)
+        px = solve_dixon(sparse(pm), pb)
         assert [px[j] for j in range(n)] == [x[perm[j]] for j in range(n)]
-        rows = [
-            {j: pm[i][j] for j in range(n) if pm[i][j]} for i in range(n)
-        ]
-        assert solve_dixon(rows, pb) == px
 
     def test_particle_hole_reflection_symmetry(self):
         # reversing the lattice and exchanging particles with holes swaps
@@ -173,17 +200,33 @@ class TestExactSolvers:
         assert violations > 0
 
     def test_singular_system_detected(self):
-        # the zero generator has a fat nullspace; both solvers must refuse
+        # the zero generator has a fat nullspace, and a rank-one system
+        # has no unique solution: both solvers must refuse
         g = GeneratorMatrix(2, tuple({} for _ in range(4)))
         with pytest.raises(SingularSystem):
-            stationary_exact(g, "bareiss")
+            stationary_exact(g)
         with pytest.raises(SingularSystem):
-            stationary_exact(g, "dixon")
+            solve_dixon([{0: 1, 1: 2}, {0: 2, 1: 4}], [1, 2])
 
-    def test_unknown_method(self):
-        g = build_generator(1, rates_from_params(POINTS[0]))
+    def test_falls_through_to_next_prime(self):
+        p = _primes_for(1)[0]
+        assert solve_dixon([{0: p}], [3 * p]) == [3]
+
+    def test_rejects_moves_of_two_particles(self):
+        # the block solve needs each move to change N by at most one
+        rows = [{} for _ in range(4)]
+        rows[0][3] = F(1)  # empty -> both sites filled
+        rows[3][0] = F(1)
         with pytest.raises(ValueError):
-            stationary_exact(g, "lu")
+            stationary_exact(GeneratorMatrix(2, tuple(rows)))
+
+    def test_primes_keep_int64_sums_exact(self):
+        for k in (1, 924, 1 << 13, 1 << 16, 1 << 30):
+            primes = _primes_for(k)
+            assert len(set(primes)) == 5
+            for p in primes:
+                assert p <= 1 << 25 and k * p * p < 2**63
+                assert all(p % d for d in range(2, isqrt(p) + 1))
 
 
 class TestGillespie:
