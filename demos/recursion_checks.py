@@ -51,7 +51,7 @@ def main():
     print("\nshock region sign tour (A=9, B=7, q=1/2):")
     p = ModelParams(F(1, 2), F(9), F(7))
     for L in range(1, 6):
-        vals = [tilde_q_weight(t, x, p) for t, x in enumerate_pairs(L, max_L=L)]
+        vals = [tilde_q_weight(t, x, p) for t, x in enumerate_pairs(L)]
         sign = "+" if vals[0] > 0 else "-"
         uniform = len({v > 0 for v in vals}) == 1
         match = phi_table(L, p).normalized() == stationary_mu(L, p)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import ensemble, oracle, recursions, sampler
 from .errors import EnumerationCapExceeded, SingularParameter
-from .lattice import Occupation, enumerate_occupations
+from .lattice import Occupation, admit
 from .rational import format_rational, parse_rational
 from .weights import ModelParams, partition_Z, q_weight, tilde_q_weight, w_sigma_operator
 
@@ -27,14 +27,7 @@ EXIT_SINGULAR = 3
 
 
 def _params(args) -> ModelParams:
-    q = parse_rational(args.q)
-    a = parse_rational(args.A)
-    b = parse_rational(args.B)
-    if not 0 <= q < 1:
-        raise ValueError(f"q must satisfy 0 <= q < 1, got {q}")
-    if a < 0 or b < 0:
-        raise ValueError("A and B must be nonnegative")
-    return ModelParams(q=q, A=a, B=b)
+    return ModelParams(*(parse_rational(v) for v in (args.q, args.A, args.B)))
 
 
 def _emit(args, text: str) -> None:
@@ -50,14 +43,9 @@ def _emit(args, text: str) -> None:
             sys.stdout.write("\n")
 
 
-def _mu_payload(L: int, p: ModelParams, dist) -> dict:
-    return {
-        "L": L,
-        "q": format_rational(p.q),
-        "A": format_rational(p.A),
-        "B": format_rational(p.B),
-        "mu": {str(s): format_rational(pr) for s, pr in dist.items()},
-    }
+def _header(L: int, p: ModelParams) -> dict:
+    """The leading keys of every sized JSON payload, in output order."""
+    return {"L": L, **{k: format_rational(getattr(p, k)) for k in "qAB"}}
 
 
 def _cmd_mu(args) -> int:
@@ -68,7 +56,8 @@ def _cmd_mu(args) -> int:
         lines += [f"{s},{format_rational(pr)}" for s, pr in dist.items()]
         _emit(args, "\n".join(lines))
     else:
-        _emit(args, json.dumps(_mu_payload(args.L, p, dist), indent=2))
+        law = {str(s): format_rational(pr) for s, pr in dist.items()}
+        _emit(args, json.dumps({**_header(args.L, p), "mu": law}, indent=2))
     return EXIT_OK
 
 
@@ -76,6 +65,7 @@ def _cmd_wsigma(args) -> int:
     parts = [int(s) for s in args.sigma.replace(" ", "").split(",") if s]
     if not parts or any(s <= 0 for s in parts):
         raise ValueError(f"sigma must be positive integers, got {args.sigma!r}")
+    admit("polynomial", sum(parts) - 1)
     q = parse_rational(args.q)
     if not 0 <= q < 1:
         raise ValueError(f"q must satisfy 0 <= q < 1, got {q}")
@@ -90,6 +80,7 @@ def _cmd_wsigma(args) -> int:
 
 
 def _cmd_qweight(args) -> int:
+    admit("polynomial", len(args.tau), args.max_L)
     p = _params(args)
     tau = Occupation.from_string(args.tau)
     xi = Occupation.from_string(args.xi)
@@ -106,21 +97,15 @@ def _cmd_qweight(args) -> int:
 
 def _cmd_partition(args) -> int:
     p = _params(args)
-    payload = {
-        "L": args.L,
-        "q": format_rational(p.q),
-        "A": format_rational(p.A),
-        "B": format_rational(p.B),
-        "Z": format_rational(partition_Z(args.L, p, max_L=args.max_L)),
-    }
+    Z = partition_Z(args.L, p, max_L=args.max_L)
+    payload = {**_header(args.L, p), "Z": format_rational(Z)}
     _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    admit("verify", args.L, args.max_L)
     p = _params(args)
-    if args.L < 0:
-        raise ValueError("L must be nonnegative")
     reports = []
     which = args.identity
     if which in ("left", "all"):
@@ -169,14 +154,8 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     g = oracle.build_generator(args.L, r, max_L=args.max_L)
     dist = oracle.stationary_exact(g)
-    payload = {
-        "L": args.L,
-        "q": format_rational(p.q),
-        "A": format_rational(p.A),
-        "B": format_rational(p.B),
-        "pi": {str(s): format_rational(pr) for s, pr in dist.items()},
-    }
-    _emit(args, json.dumps(payload, indent=2))
+    law = {str(s): format_rational(pr) for s, pr in dist.items()}
+    _emit(args, json.dumps({**_header(args.L, p), "pi": law}, indent=2))
     return EXIT_OK
 
 

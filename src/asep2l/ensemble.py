@@ -19,9 +19,9 @@ from typing import Iterable
 
 from .errors import NotInConfigurationSpace
 from .lattice import (
-    MU_DEFAULT_MAX_L,
     LatticePath,
     Occupation,
+    admit,
     enumerate_occupations,
     enumerate_pairs,
     enumerate_paths,
@@ -29,7 +29,7 @@ from .lattice import (
     path_from_index,
     path_of,
 )
-from .weights import ModelParams, path_weight, q_weight
+from .weights import ModelParams, path_masses, path_weight, q_weight
 
 
 class Distribution:
@@ -88,17 +88,31 @@ class Distribution:
         return f"Distribution(n={len(self)})"
 
 
-def two_layer_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
-    """Exact law on pairs (tau, xi), proportional to the weight Q."""
+def _normalized(weighted: Iterable[tuple[object, Fraction]]) -> Distribution:
+    """Law over the given states, proportional to their weights."""
     states = []
     weights = []
-    total = Fraction(0)
-    for tau, xi in enumerate_pairs(L, max_L):
-        w = q_weight(tau, xi, p)
-        states.append((tau, xi))
+    for state, w in weighted:
+        states.append(state)
         weights.append(w)
-        total += w
+    total = sum(weights, Fraction(0))
     return Distribution(states, [w / total for w in weights])
+
+
+def occupation_law(L: int, mass: dict[int, Fraction]) -> Distribution:
+    """Law over all 2**L occupations in enumeration order, proportional to
+    mass[word]; words absent from mass get probability 0."""
+    total = sum(mass.values(), Fraction(0))
+    states = tuple(enumerate_occupations(L))
+    return Distribution(states, [mass.get(s.word, Fraction(0)) / total for s in states])
+
+
+def two_layer_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
+    """Exact law on pairs (tau, xi), proportional to the weight Q."""
+    admit("pairs", L, max_L)
+    return _normalized(
+        ((tau, xi), q_weight(tau, xi, p)) for tau, xi in enumerate_pairs(L)
+    )
 
 
 def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None:
@@ -133,17 +147,13 @@ def _mu_range_worker(args) -> dict[int, Fraction]:
     return _mu_range_table(*args)
 
 
-def _mu_table(
-    L: int, p: ModelParams, max_L: int | None, jobs: int = 1
-) -> dict[int, Fraction]:
+def _mu_table(L: int, p: ModelParams, jobs: int = 1) -> dict[int, Fraction]:
     """Unnormalized top-layer masses, keyed by packed occupation word."""
     if jobs <= 1:
         table: dict[int, Fraction] = {}
-        for gamma in enumerate_paths(L, max_L):
+        for gamma in enumerate_paths(L):
             _path_mass_into(table, gamma, path_weight(gamma, p))
         return table
-    # consume one path to trigger cap validation before forking
-    next(iter(enumerate_paths(L, max_L)))
     from multiprocessing import get_context
 
     npaths = 3 ** L
@@ -160,28 +170,12 @@ def _mu_table(
     return table
 
 
-def _resolve_mu_cap(L: int, max_L: int | None) -> int:
-    from .lattice import enumeration_cap
-    from .errors import EnumerationCapExceeded
-
-    cap = enumeration_cap(MU_DEFAULT_MAX_L) if max_L is None else max_L
-    if L > cap:
-        raise EnumerationCapExceeded(f"L={L} exceeds cap {cap}")
-    return cap
-
-
 def stationary_mu(
     L: int, p: ModelParams, max_L: int | None = None, jobs: int = 1
 ) -> Distribution:
     """Stationary measure of the exclusion process as the top marginal."""
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    _resolve_mu_cap(L, max_L)
-    table = _mu_table(L, p, L, jobs)
-    total = sum(table.values(), Fraction(0))
-    states = list(enumerate_occupations(L, max_L=L))
-    probs = [table.get(s.word, Fraction(0)) / total for s in states]
-    return Distribution(states, probs)
+    admit("marginal", L, max_L)
+    return occupation_law(L, _mu_table(L, p, jobs))
 
 
 @dataclass(frozen=True)
@@ -199,54 +193,45 @@ class PhiTable:
         return sum(self.values.values(), Fraction(0))
 
     def normalized(self) -> Distribution:
-        z = self.total()
-        states = tuple(enumerate_occupations(self.L, max_L=self.L))
-        return Distribution(states, [self.values[s] / z for s in states])
+        return occupation_law(self.L, {s.word: v for s, v in self.values.items()})
 
 
 def phi_table(L: int, p: ModelParams, max_L: int | None = None) -> PhiTable:
     """Exact basic-weight table; raises SingularParameter at poles."""
+    admit("marginal", L, max_L)
+    return _phi_table(L, p)
+
+
+def _phi_table(L: int, p: ModelParams) -> PhiTable:
     scale = p.tilde_scale(L)
-    _resolve_mu_cap(L, max_L)
-    table = _mu_table(L, p, L)
+    table = _mu_table(L, p)
     values = {
         occ: scale * table.get(occ.word, Fraction(0))
-        for occ in enumerate_occupations(L, max_L=L)
+        for occ in enumerate_occupations(L)
     }
     return PhiTable(L, p, values)
 
 
 def path_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
     """Marginal law of the path: mass 2**H(gamma) * weight(gamma)."""
-    states = []
-    weights = []
-    total = Fraction(0)
-    for gamma in enumerate_paths(L, max_L):
-        w = (1 << gamma.horizontal) * path_weight(gamma, p)
-        states.append(gamma)
-        weights.append(w)
-        total += w
-    return Distribution(states, [w / total for w in weights])
+    admit("paths", L, max_L)
+    return _normalized(path_masses(L, p))
 
 
 def top_marginal(pairs: Distribution) -> Distribution:
     """Project a distribution over (tau, xi) pairs onto the top layer."""
-    acc: dict[Occupation, Fraction] = {}
+    acc: dict[int, Fraction] = {}
     for (tau, _), pr in pairs.items():
-        acc[tau] = acc.get(tau, Fraction(0)) + pr
-    L = pairs.states[0][0].length
-    states = tuple(enumerate_occupations(L, max_L=L))
-    return Distribution(states, [acc.get(s, Fraction(0)) for s in states])
+        acc[tau.word] = acc.get(tau.word, Fraction(0)) + pr
+    return occupation_law(pairs.states[0][0].length, acc)
 
 
 def path_law_top_marginal(paths: Distribution) -> Distribution:
     """Push the path law through the level-step coin flips, exactly."""
-    L = paths.states[0].length
     table: dict[int, Fraction] = {}
     for gamma, pr in paths.items():
         _path_mass_into(table, gamma, pr / (1 << gamma.horizontal))
-    states = tuple(enumerate_occupations(L, max_L=L))
-    return Distribution(states, [table.get(s.word, Fraction(0)) for s in states])
+    return occupation_law(paths.states[0].length, table)
 
 
 def duchi_weight(tau: Occupation, xi: Occupation, A, B) -> Fraction:
@@ -282,14 +267,9 @@ def duchi_weight(tau: Occupation, xi: Occupation, A, B) -> Fraction:
 
 def duchi_distribution(L: int, A, B, max_L: int | None = None) -> Distribution:
     """Normalized comparison measure over the Motzkin pairs."""
-    states = []
-    weights = []
-    total = Fraction(0)
-    for tau, xi in enumerate_pairs(L, max_L):
-        if not is_motzkin(path_of(tau, xi)):
-            continue
-        w = duchi_weight(tau, xi, A, B)
-        states.append((tau, xi))
-        weights.append(w)
-        total += w
-    return Distribution(states, [w / total for w in weights])
+    admit("pairs", L, max_L)
+    return _normalized(
+        ((tau, xi), duchi_weight(tau, xi, A, B))
+        for tau, xi in enumerate_pairs(L)
+        if is_motzkin(path_of(tau, xi))
+    )

@@ -18,4 +18,4 @@ class SingularSystem(AsepError):
 
 
 class EnumerationCapExceeded(AsepError):
-    """A requested system size exceeds the enumeration cap."""
+    """A requested system size exceeds its limit (see lattice.admit)."""

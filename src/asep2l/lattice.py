@@ -7,7 +7,9 @@ whose level-occupation counts above the minimum form a composition of L+1.
 
 Enumeration here is deterministic: occupations in lexicographic order of
 the site sequence (site 1 most significant) and paths in lexicographic
-order of their step sequences with steps ordered -1 < 0 < +1.
+order of their step sequences with steps ordered -1 < 0 < +1. The
+enumerators take no size limit; every public operation that enumerates
+calls admit once, at entry, with its row of MAX_L.
 """
 
 from __future__ import annotations
@@ -18,27 +20,37 @@ from typing import Iterator, Sequence
 
 from .errors import EnumerationCapExceeded
 
-DEFAULT_MAX_L = 14
-MU_DEFAULT_MAX_L = 10
-
-_ENV_CAP = "ASEP_MAX_L"
-
-
-def enumeration_cap(default: int = DEFAULT_MAX_L) -> int:
-    """Effective cap: the ASEP_MAX_L environment variable, else default."""
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}")
+# Largest admitted L per kind of work. The README lists the operations of
+# each row and the measured cost at its default.
+MAX_L = {
+    "marginal": 10,  # 3**L paths spread over 2**L top layers
+    "pairs": 10,  # 4**L (tau, xi) pairs held as Fractions
+    "paths": 14,  # 3**L paths
+    "generator": 12,  # 2**L-state generator and its exact solve
+    "simulation": 30,  # Gillespie run over L sites
+    "verify": 7,  # every identity checker up to size L
+    "polynomial": 200,  # one composition polynomial of L+1
+}
 
 
-def _check_cap(L: int, max_L: int | None, default: int) -> None:
-    cap = enumeration_cap(default) if max_L is None else max_L
+def admit(kind: str, L: int, max_L: int | None = None) -> None:
+    """Refuse sizes above the limit for kind, before any work is done.
+
+    The limit is max_L when given, else the ASEP_MAX_L environment
+    variable, else MAX_L[kind]. Raises ValueError for L < 0 and
+    EnumerationCapExceeded for L above the limit.
+    """
+    if L < 0:
+        raise ValueError("L must be nonnegative")
+    cap = max_L
+    if cap is None:
+        raw = os.environ.get("ASEP_MAX_L", MAX_L[kind])
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"ASEP_MAX_L must be an integer, got {raw!r}")
     if L > cap:
-        raise EnumerationCapExceeded(f"L={L} exceeds cap {cap}")
+        raise EnumerationCapExceeded(f"L={L} exceeds the {kind} cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -197,11 +209,10 @@ def is_motzkin(gamma: LatticePath) -> bool:
     return gamma.minimum >= 0 and gamma.end == 0
 
 
-def enumerate_occupations(L: int, max_L: int | None = None) -> Iterator[Occupation]:
+def enumerate_occupations(L: int) -> Iterator[Occupation]:
     """All 2**L occupations in lexicographic order of the site sequence."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    _check_cap(L, max_L, DEFAULT_MAX_L)
     for k in range(1 << L):
         word = 0
         for j in range(L):
@@ -210,11 +221,9 @@ def enumerate_occupations(L: int, max_L: int | None = None) -> Iterator[Occupati
         yield Occupation(L, word)
 
 
-def enumerate_pairs(
-    L: int, max_L: int | None = None
-) -> Iterator[tuple[Occupation, Occupation]]:
+def enumerate_pairs(L: int) -> Iterator[tuple[Occupation, Occupation]]:
     """All 4**L ordered pairs (tau, xi), tau-major lexicographic order."""
-    taus = list(enumerate_occupations(L, max_L))
+    taus = list(enumerate_occupations(L))
     for tau in taus:
         for xi in taus:
             yield tau, xi
@@ -232,11 +241,10 @@ def path_from_index(L: int, index: int) -> LatticePath:
     return LatticePath.from_steps([d - 1 for d in reversed(digits)])
 
 
-def enumerate_paths(L: int, max_L: int | None = None) -> Iterator[LatticePath]:
+def enumerate_paths(L: int) -> Iterator[LatticePath]:
     """All 3**L paths of length L in step-lexicographic order."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    _check_cap(L, max_L, DEFAULT_MAX_L)
     steps = [-1] * L
     vals = [0] * (L + 1)
     while True:

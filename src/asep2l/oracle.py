@@ -35,13 +35,10 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded, SingularSystem
-from .ensemble import Distribution
-from .lattice import Occupation, enumerate_occupations
+from .errors import SingularSystem
+from .ensemble import Distribution, occupation_law
+from .lattice import Occupation, admit
 from .weights import ModelParams
-
-ORACLE_MAX_L = 12
-GILLESPIE_MAX_L = 30
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,9 @@ class GeneratorMatrix:
 
 def build_generator(L: int, r: Rates, max_L: int | None = None) -> GeneratorMatrix:
     """Assemble the generator over all 2**L occupation words."""
+    admit("generator", L, max_L)
     if L < 1:
         raise ValueError("generator needs L >= 1")
-    cap = ORACLE_MAX_L if max_L is None else max_L
-    if L > cap:
-        raise EnumerationCapExceeded(f"L={L} exceeds oracle cap {cap}")
     last = 1 << (L - 1)
     rows = []
     for w in range(1 << L):
@@ -481,8 +476,7 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
         raise SingularSystem("solution failed exact normalization")
     if any(v != 0 for v in g.apply_left(x)):
         raise SingularSystem("solution does not annihilate the generator")
-    states = list(enumerate_occupations(g.L, max_L=g.L))
-    return Distribution(states, [x[s.word] for s in states])
+    return occupation_law(g.L, dict(enumerate(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +504,9 @@ def gillespie_simulate(
     max_L: int | None = None,
 ) -> SimulationResult:
     """Exponential-clock simulation of the process; reproducible per seed."""
-    cap = GILLESPIE_MAX_L if max_L is None else max_L
-    if not 1 <= L <= cap:
-        raise EnumerationCapExceeded(f"L={L} outside 1..{cap}")
+    admit("simulation", L, max_L)
+    if L < 1:
+        raise ValueError("simulation needs L >= 1")
     rates = {k: float(getattr(r, k)) for k in ("alpha", "beta", "gamma", "delta", "q")}
     rng = random.Random(seed)
     track_configs = L <= 12

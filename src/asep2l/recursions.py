@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ensemble import phi_table
+from .ensemble import _phi_table
 from .lattice import Occupation, enumerate_occupations, enumerate_pairs
 from .weights import ModelParams, tilde_q_weight
 
@@ -70,7 +70,7 @@ def check_left_boundary(L: int, p: ModelParams) -> VerificationReport:
     qa = p.q * p.A
     for xi_new in (0, 1):
         a_pow = p.A ** xi_new
-        for tau, xi in enumerate_pairs(L, max_L=L):
+        for tau, xi in enumerate_pairs(L):
             xi_ext = xi.prepend(xi_new)
             lhs = tilde_q_weight(tau.prepend(0), xi_ext, p) - qa * tilde_q_weight(
                 tau.prepend(1), xi_ext, p
@@ -86,7 +86,7 @@ def check_right_boundary(L: int, p: ModelParams) -> VerificationReport:
     qb = p.q * p.B
     for xi_new in (0, 1):
         b_pow = p.B ** (1 - xi_new)
-        for tau, xi in enumerate_pairs(L, max_L=L):
+        for tau, xi in enumerate_pairs(L):
             xi_ext = xi.append(xi_new)
             lhs = tilde_q_weight(tau.append(1), xi_ext, p) - qb * tilde_q_weight(
                 tau.append(0), xi_ext, p
@@ -106,8 +106,8 @@ def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
             mid2 = Occupation.from_bits((xi_a, xi_b))
             mid1 = Occupation.from_bits((xi_a,))
             keep = Occupation.from_bits((1 - xi_b,))
-            for tau1, xi1 in enumerate_pairs(L1, max_L=L1):
-                for tau2, xi2 in enumerate_pairs(L2, max_L=L2):
+            for tau1, xi1 in enumerate_pairs(L1):
+                for tau2, xi2 in enumerate_pairs(L2):
                     xi_long = xi1.concat(mid2).concat(xi2)
                     lhs = tilde_q_weight(
                         tau1.concat(one_zero).concat(tau2), xi_long, p
@@ -136,14 +136,14 @@ def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
 def check_basic_weight_equations(L: int, p: ModelParams) -> VerificationReport:
     """The four equations for Phi, over all sizes up to L."""
     report = VerificationReport("basic-weight-equations", f"L<={L}", p)
-    phis = [phi_table(ell, p, max_L=ell).values for ell in range(L + 1)]
+    phis = [_phi_table(ell, p).values for ell in range(L + 1)]
     empty = Occupation(0, 0)
     report.check(phis[0][empty], Fraction(1), {"equation": "initial"})
     qa = p.q * p.A
     qb = p.q * p.B
     for ell in range(L):
         lo, hi = phis[ell], phis[ell + 1]
-        for tau in enumerate_occupations(ell, max_L=ell):
+        for tau in enumerate_occupations(ell):
             lhs = hi[tau.prepend(0)] - qa * hi[tau.prepend(1)]
             report.check(
                 lhs, (1 + p.A) * lo[tau], {"equation": "left", "tau": tau}
@@ -159,8 +159,8 @@ def check_basic_weight_equations(L: int, p: ModelParams) -> VerificationReport:
         lo, hi = phis[total + 1], phis[total + 2]
         for n1 in range(total + 1):
             n2 = total - n1
-            for tau1 in enumerate_occupations(n1, max_L=n1):
-                for tau2 in enumerate_occupations(n2, max_L=n2):
+            for tau1 in enumerate_occupations(n1):
+                for tau2 in enumerate_occupations(n2):
                     lhs = hi[tau1.concat(one_zero).concat(tau2)] - p.q * hi[
                         tau1.concat(zero_one).concat(tau2)
                     ]

@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import SingularParameter
 from .lattice import (
-    DEFAULT_MAX_L,
     LatticePath,
     Occupation,
+    admit,
     composition_of,
     enumerate_paths,
     path_of,
@@ -180,18 +181,20 @@ def tilde_q_weight(tau: Occupation, xi: Occupation, p: ModelParams) -> Fraction:
     return p.tilde_scale(tau.length) * q_weight(tau, xi, p)
 
 
-def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
-    """Normalization: the sum of Q over all 4**L pairs.
+def path_masses(L: int, p: ModelParams) -> Iterator[tuple[LatticePath, Fraction]]:
+    """Each of the 3**L paths with its mass 2**H(gamma) * weight(gamma).
 
-    Computed by summing 2**H(gamma) * weight(gamma) over the 3**L paths,
-    which groups the pairs sharing a path.
+    The mass is the total weight of the 2**H pairs (tau, xi) that share
+    the path, one per choice of top-layer bits on its H level steps.
     """
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    total = Fraction(0)
-    for gamma in enumerate_paths(L, max_L):
-        total += (1 << gamma.horizontal) * path_weight(gamma, p)
-    return total
+    for gamma in enumerate_paths(L):
+        yield gamma, (1 << gamma.horizontal) * path_weight(gamma, p)
+
+
+def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
+    """Normalization: the sum of Q over all 4**L pairs, summed by path."""
+    admit("paths", L, max_L)
+    return sum((mass for _, mass in path_masses(L, p)), Fraction(0))
 
 
 def clear_weight_caches() -> None:

@@ -1,14 +1,27 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from asep2l.cli import main
-from asep2l.ensemble import stationary_mu
-from asep2l.lattice import Occupation
+from asep2l.cli import build_parser, main
+from asep2l.ensemble import (
+    duchi_distribution,
+    path_law,
+    phi_table,
+    stationary_mu,
+    two_layer_law,
+)
+from asep2l.errors import EnumerationCapExceeded
+from asep2l.lattice import MAX_L, Occupation
+from asep2l.oracle import build_generator, gillespie_simulate, rates_from_params
+from asep2l.sampler import sample_two_layer
 from asep2l.weights import ModelParams, partition_Z, w_sigma_operator
+
+P = ModelParams(F(1, 3), F(1), F(2))
+P_ARGS = ("--q", "1/3", "--A", "1", "--B", "2")
 
 
 def run(capsys, *argv):
@@ -113,6 +126,13 @@ class TestQWeightAndPartition:
         expected = partition_Z(2, ModelParams(F(1, 3), F(1), F(2)))
         assert F(json.loads(out)["Z"]) == expected
 
+    def test_qweight_max_L_is_enforced(self, capsys):
+        code, _ = run(
+            capsys, "qweight", "--tau", "0101", "--xi", "1010", *P_ARGS,
+            "--max-L", "2",
+        )
+        assert code == 2
+
     def test_bad_occupation_string(self, capsys):
         assert run(
             capsys, "qweight", "--tau", "012", "--xi", "100",
@@ -146,6 +166,9 @@ class TestVerify:
             "--q", "1/2", "--A", "4", "--B", "1",
         )
         assert code == 3
+
+    def test_max_L_is_enforced(self, capsys):
+        assert run(capsys, "verify", "--L", "3", *P_ARGS, "--max-L", "2")[0] == 2
 
     def test_negative_size_rejected(self, capsys):
         code, _ = run(
@@ -221,3 +244,100 @@ class TestSample:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 5
+
+
+def _handler(*argv):
+    args = build_parser().parse_args(argv)
+    return lambda: args.func(args)
+
+
+BIG = 10 ** 6
+RATES = rates_from_params(P)
+# every operation that admits a size, by its row of MAX_L
+OPERATIONS = {
+    "marginal": [lambda: stationary_mu(BIG, P), lambda: phi_table(BIG, P)],
+    "pairs": [
+        lambda: two_layer_law(BIG, P),
+        lambda: duchi_distribution(BIG, 1, 2),
+        lambda: sample_two_layer(BIG, P, 1, seed=0, route="pair"),
+    ],
+    "paths": [
+        lambda: partition_Z(BIG, P),
+        lambda: path_law(BIG, P),
+        lambda: sample_two_layer(BIG, P, 1, seed=0),
+    ],
+    "generator": [lambda: build_generator(BIG, RATES)],
+    "simulation": [lambda: gillespie_simulate(BIG, RATES, horizon=1.0)],
+    "verify": [_handler("verify", "--L", str(BIG), *P_ARGS)],
+    "polynomial": [
+        _handler("wsigma", "--sigma", str(BIG + 1), "--q", "1/2"),
+        _handler("qweight", "--tau", "0" * BIG, "--xi", "0" * BIG, *P_ARGS),
+    ],
+}
+
+
+class TestAdmission:
+    def test_every_row_has_operations(self):
+        assert set(OPERATIONS) == set(MAX_L)
+
+    @pytest.mark.parametrize("kind", sorted(MAX_L))
+    def test_refused_before_any_work(self, kind, monkeypatch):
+        monkeypatch.delenv("ASEP_MAX_L", raising=False)
+        for operation in OPERATIONS[kind]:
+            with pytest.raises(EnumerationCapExceeded):
+                operation()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mu",),
+            ("partition",),
+            ("verify",),
+            ("oracle",),
+            ("oracle", "--simulate", "--horizon", "1"),
+            ("sample", "--n", "1"),
+            ("sample", "--n", "1", "--route", "pair"),
+            ("compare",),
+        ],
+        ids=" ".join,
+    )
+    def test_env_limit_reaches_every_sized_subcommand(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("ASEP_MAX_L", "3")
+        assert run(capsys, *argv, "--L", "4", *P_ARGS)[0] == 2
+
+    def test_pair_enumerations_and_wsigma_are_limited(self, capsys, monkeypatch):
+        monkeypatch.delenv("ASEP_MAX_L", raising=False)
+        with pytest.raises(EnumerationCapExceeded):
+            two_layer_law(11, P)
+        with pytest.raises(EnumerationCapExceeded):
+            duchi_distribution(11, 1, 2)
+        sample = ("sample", "--route", "pair", "--L", "11", "--n", "1", *P_ARGS)
+        assert run(capsys, *sample)[0] == 2
+        sigma = str(MAX_L["polynomial"] + 2)
+        assert run(capsys, "wsigma", "--sigma", sigma, "--q", "1/2")[0] == 2
+        monkeypatch.setenv("ASEP_MAX_L", "9")
+        assert run(capsys, "wsigma", "--sigma", "7,3,1", "--q", "1/2")[0] == 2
+
+    def test_every_max_L_flag_is_enforced(self, capsys):
+        """A subcommand that takes --max-L runs at --L 2 and refuses it
+        under --max-L 1, so none can accept the flag and ignore it."""
+        minimal = {
+            "L": "2", "q": "1/3", "A": "1", "B": "2", "tau": "01", "xi": "10", "n": "1",
+        }
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        checked = []
+        for name, sp in sub.choices.items():
+            if not any(a.dest == "max_L" for a in sp._actions):
+                continue
+            argv = [name]
+            for a in sp._actions:
+                if a.required:
+                    argv += [a.option_strings[0], minimal[a.dest]]
+            assert run(capsys, *argv)[0] == 0, name
+            assert run(capsys, *argv, "--max-L", "1")[0] == 2, name
+            checked.append(name)
+        expected = {"mu", "qweight", "partition", "verify", "oracle", "sample", "compare"}
+        assert expected <= set(checked)

@@ -11,6 +11,7 @@ from asep2l.errors import EnumerationCapExceeded
 from asep2l.lattice import (
     LatticePath,
     Occupation,
+    admit,
     composition_of,
     enumerate_occupations,
     enumerate_paths,
@@ -20,6 +21,9 @@ from asep2l.lattice import (
     tau_from_path,
     xi_of,
 )
+from asep2l.weights import ModelParams, partition_Z
+
+P = ModelParams(F(1, 2), F(1), F(2))
 
 
 class TestOccupation:
@@ -61,16 +65,21 @@ class TestOccupation:
         assert len(list(enumerate_occupations(0))) == 1
 
     def test_enumeration_cap(self):
+        # the operation is capped, the enumerator it walks is not
         with pytest.raises(EnumerationCapExceeded):
-            list(enumerate_occupations(15))
-        assert len(list(enumerate_occupations(15, max_L=15))) == 2 ** 15
+            partition_Z(15, P)
+        assert len(list(enumerate_occupations(15))) == 2 ** 15
 
     def test_env_cap_override(self, monkeypatch):
         monkeypatch.setenv("ASEP_MAX_L", "2")
         with pytest.raises(EnumerationCapExceeded):
-            list(enumerate_occupations(3))
+            partition_Z(3, P)
+        assert partition_Z(3, P, max_L=3) > 0  # the explicit limit wins
         monkeypatch.setenv("ASEP_MAX_L", "16")
-        next(iter(enumerate_occupations(15)))
+        admit("paths", 15)
+        monkeypatch.setenv("ASEP_MAX_L", "ten")
+        with pytest.raises(ValueError):
+            admit("paths", 1)
 
 
 class TestLatticePath:

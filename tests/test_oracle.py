@@ -41,7 +41,7 @@ def dense_stationary(g: GeneratorMatrix) -> Distribution:
     cols = _integer_transpose(g)
     cols[n - 1] = {j: 1 for j in range(n)}
     x = solve_dixon(cols, [0] * (n - 1) + [1])
-    states = list(enumerate_occupations(g.L, max_L=g.L))
+    states = list(enumerate_occupations(g.L))
     return Distribution(states, [x[s.word] for s in states])
 
 

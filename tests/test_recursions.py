@@ -124,7 +124,7 @@ class TestShockSign:
         signs = []
         for L in range(1, 6):
             vals = [
-                tilde_q_weight(tau, xi, p) for tau, xi in enumerate_pairs(L, max_L=L)
+                tilde_q_weight(tau, xi, p) for tau, xi in enumerate_pairs(L)
             ]
             assert all(v != 0 for v in vals)
             level_signs = {v > 0 for v in vals}
