@@ -67,14 +67,28 @@ from .recursions import (
     check_left_boundary,
     check_right_boundary,
 )
-from .oracle import (
-    GeneratorMatrix,
-    Rates,
-    build_generator,
-    gillespie_simulate,
-    rates_from_params,
-    stationary_exact,
-)
 from .sampler import SampleBatch, empirical_compare, sample_two_layer
 
 __version__ = "0.1.0"
+
+# The oracle needs numpy, which costs most of the package's import time;
+# its names are resolved on first use, so commands that never solve the
+# generator do not load it.
+_ORACLE_NAMES = frozenset(
+    {
+        "GeneratorMatrix",
+        "Rates",
+        "build_generator",
+        "gillespie_simulate",
+        "rates_from_params",
+        "stationary_exact",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import ensemble, oracle, recursions, sampler
+from . import ensemble, recursions, sampler
 from .errors import EnumerationCapExceeded, SingularParameter
 from .lattice import Occupation, admit
 from .rational import format_rational, parse_rational
@@ -50,7 +50,7 @@ def _header(L: int, p: ModelParams) -> dict:
 
 def _cmd_mu(args) -> int:
     p = _params(args)
-    dist = ensemble.stationary_mu(args.L, p, max_L=args.max_L, jobs=args.jobs)
+    dist = ensemble.stationary_mu(args.L, p, max_L=args.max_L)
     if args.format == "csv":
         lines = ["state,probability"]
         lines += [f"{s},{format_rational(pr)}" for s, pr in dist.items()]
@@ -132,6 +132,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     p = _params(args)
     r = oracle.rates_from_params(p)
     if args.simulate:
@@ -171,8 +173,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import oracle
+
     p = _params(args)
-    mu = ensemble.stationary_mu(args.L, p, max_L=args.max_L, jobs=args.jobs)
+    mu = ensemble.stationary_mu(args.L, p, max_L=args.max_L)
     g = oracle.build_generator(args.L, oracle.rates_from_params(p), max_L=args.max_L)
     pi = oracle.stationary_exact(g)
     if mu == pi:
@@ -207,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mu", help="exact stationary measure")
     common(sp)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=_cmd_mu)
 
     sp = sub.add_parser("wsigma", help="composition weight polynomial")
@@ -253,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="stationary marginal vs oracle")
     common(sp)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=_cmd_compare)
 
     return parser

@@ -2,11 +2,15 @@
 
 The two-layer law normalizes the weight Q over all 4**L pairs (tau, xi);
 the stationary measure of the exclusion process is its top-layer marginal.
-The marginal is computed by walking the 3**L paths and spreading each
-path's weight over the top layers compatible with it (up-steps force 1,
-down-steps force 0, level steps are free), which touches each of the 4**L
-pairs once while evaluating only 3**L weights with memoized composition
-polynomials.
+A pair's weight depends only on its path, and the path's weight only on
+its composition and the heights of its ends above its minimum. The
+marginal therefore weighs each distinct such key once, puts the 3**L path
+weights over one common denominator as integers, and folds them into the
+2**L top-layer masses one site at a time: up steps force bit 1, down steps
+bit 0, and level steps add to both. That is O(3**L) integer additions,
+with one division per top layer when the law is normalized.
+_path_mass_into, which spreads one path over its 2**H top layers with
+Fractions, is kept as the slow reference for the path law's pushforward.
 
 All arithmetic is exact; no floats enter this module.
 """
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable
 
 from .errors import NotInConfigurationSpace
@@ -24,12 +30,10 @@ from .lattice import (
     admit,
     enumerate_occupations,
     enumerate_pairs,
-    enumerate_paths,
     is_motzkin,
-    path_from_index,
     path_of,
 )
-from .weights import ModelParams, path_masses, path_weight, q_weight
+from .weights import ModelParams, path_masses, q_weight, shape_weight
 
 
 class Distribution:
@@ -99,12 +103,12 @@ def _normalized(weighted: Iterable[tuple[object, Fraction]]) -> Distribution:
     return Distribution(states, [w / total for w in weights])
 
 
-def occupation_law(L: int, mass: dict[int, Fraction]) -> Distribution:
+def occupation_law(L: int, mass: dict[int, Fraction | int]) -> Distribution:
     """Law over all 2**L occupations in enumeration order, proportional to
     mass[word]; words absent from mass get probability 0."""
-    total = sum(mass.values(), Fraction(0))
+    total = sum(mass.values())
     states = tuple(enumerate_occupations(L))
-    return Distribution(states, [mass.get(s.word, Fraction(0)) / total for s in states])
+    return Distribution(states, [Fraction(mass.get(s.word, 0), total) for s in states])
 
 
 def two_layer_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
@@ -133,49 +137,77 @@ def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None
         sub = (sub - 1) & mask
 
 
-def _mu_range_table(
-    L: int, p: ModelParams, start: int, stop: int
-) -> dict[int, Fraction]:
-    table: dict[int, Fraction] = {}
-    for k in range(start, stop):
-        gamma = path_from_index(L, k)
-        _path_mass_into(table, gamma, path_weight(gamma, p))
-    return table
+def _extend(key: tuple[tuple[int, ...], int, int], step: int):
+    """The key of a path extended by one step.
+
+    A key is (composition, start height, end height), with heights counted
+    from the path's minimum; a path's weight depends on nothing else.
+    """
+    sigma, start, end = key
+    h = end + step
+    if h < 0:
+        return (1,) + sigma, start + 1, 0
+    if h == len(sigma):
+        return sigma + (1,), start, h
+    return sigma[:h] + (sigma[h] + 1,) + sigma[h + 1 :], start, h
 
 
-def _mu_range_worker(args) -> dict[int, Fraction]:
-    return _mu_range_table(*args)
+def _path_weights(L: int, p: ModelParams) -> tuple[list[int], int]:
+    """Weights of the 3**L paths in step-lexicographic order, as integers
+    over one common denominator, which is returned with them.
+
+    Paths are grown one step at a time as ids into the list of distinct
+    keys of their length, so each key is extended and weighed once.
+    """
+    keys = [((1,), 0, 0)]
+    ids = [0]
+    for _ in range(L):
+        index: dict = {}
+        moves = [
+            [index.setdefault(_extend(key, step), len(index)) for step in (-1, 0, 1)]
+            for key in keys
+        ]
+        ids = [child for i in ids for child in moves[i]]
+        keys = list(index)
+    weights = [shape_weight(sigma, start, end, p) for sigma, start, end in keys]
+    den = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (den // w.denominator) for w in weights]
+    return [scaled[i] for i in ids], den
 
 
-def _mu_table(L: int, p: ModelParams, jobs: int = 1) -> dict[int, Fraction]:
-    """Unnormalized top-layer masses, keyed by packed occupation word."""
-    if jobs <= 1:
-        table: dict[int, Fraction] = {}
-        for gamma in enumerate_paths(L):
-            _path_mass_into(table, gamma, path_weight(gamma, p))
-        return table
-    from multiprocessing import get_context
+def _spread(weights: list[int], L: int) -> list[int]:
+    """Fold path weights into top-layer masses, one site at a time.
 
-    npaths = 3 ** L
-    chunk = -(-npaths // jobs)
-    ranges = [
-        (L, p, lo, min(lo + chunk, npaths)) for lo in range(0, npaths, chunk)
-    ]
-    with get_context("fork").Pool(jobs) as pool:
-        parts = pool.map(_mu_range_worker, ranges)
-    table = {}
-    for part in parts:
-        for key, val in part.items():
-            table[key] = table.get(key, Fraction(0)) + val
-    return table
+    weights is in step-lexicographic order (site 1 most significant, steps
+    -1 < 0 < +1); the result is in the order of enumerate_occupations. At
+    each site, from the last to the first, a down step writes bit 0, an up
+    step writes bit 1, and a level step adds to both.
+    """
+    row = weights
+    for k in range(L):
+        # row holds 3**(L-k) ternary prefixes, each over 2**k suffix words
+        width = 1 << k
+        out = [0] * (len(row) // 3 * 2)
+        for o in range(width):
+            level = row[width + o :: 3 * width]
+            out[o :: 2 * width] = map(add, row[o :: 3 * width], level)
+            out[width + o :: 2 * width] = map(add, row[2 * width + o :: 3 * width], level)
+        row = out
+    return row
 
 
-def stationary_mu(
-    L: int, p: ModelParams, max_L: int | None = None, jobs: int = 1
-) -> Distribution:
+def _mu_table(L: int, p: ModelParams) -> tuple[dict[int, int], int]:
+    """Unnormalized top-layer masses, keyed by packed occupation word, as
+    integers over the common denominator returned with them."""
+    weights, den = _path_weights(L, p)
+    masses = _spread(weights, L)
+    return {occ.word: m for occ, m in zip(enumerate_occupations(L), masses)}, den
+
+
+def stationary_mu(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
     """Stationary measure of the exclusion process as the top marginal."""
     admit("marginal", L, max_L)
-    return occupation_law(L, _mu_table(L, p, jobs))
+    return occupation_law(L, _mu_table(L, p)[0])
 
 
 @dataclass(frozen=True)
@@ -204,11 +236,9 @@ def phi_table(L: int, p: ModelParams, max_L: int | None = None) -> PhiTable:
 
 def _phi_table(L: int, p: ModelParams) -> PhiTable:
     scale = p.tilde_scale(L)
-    table = _mu_table(L, p)
-    values = {
-        occ: scale * table.get(occ.word, Fraction(0))
-        for occ in enumerate_occupations(L)
-    }
+    table, den = _mu_table(L, p)
+    unit = scale / den
+    values = {occ: unit * table[occ.word] for occ in enumerate_occupations(L)}
     return PhiTable(L, p, values)
 
 

@@ -23,7 +23,7 @@ from .errors import EnumerationCapExceeded
 # Largest admitted L per kind of work. The README lists the operations of
 # each row and the measured cost at its default.
 MAX_L = {
-    "marginal": 10,  # 3**L paths spread over 2**L top layers
+    "marginal": 12,  # 3**L paths spread over 2**L top layers
     "pairs": 10,  # 4**L (tau, xi) pairs held as Fractions
     "paths": 14,  # 3**L paths
     "generator": 12,  # 2**L-state generator and its exact solve
@@ -227,18 +227,6 @@ def enumerate_pairs(L: int) -> Iterator[tuple[Occupation, Occupation]]:
     for tau in taus:
         for xi in taus:
             yield tau, xi
-
-
-def path_from_index(L: int, index: int) -> LatticePath:
-    """The index-th path in step-lexicographic order (base-3 decode)."""
-    digits = []
-    k = index
-    for _ in range(L):
-        digits.append(k % 3)
-        k //= 3
-    if k:
-        raise IndexError(f"path index {index} out of range for L={L}")
-    return LatticePath.from_steps([d - 1 for d in reversed(digits)])
 
 
 def enumerate_paths(L: int) -> Iterator[LatticePath]:

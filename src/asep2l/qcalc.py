@@ -17,13 +17,17 @@ Such a function is stored as a :class:`BasisElement` with denominator depth
     (D_q . z) [z^j / (z;q)_n] = ([j+1]_q z^j + q^(j+1) [n-1-j]_q z^(j+1)) / (z;q)_(n+1)
 
 Both action formulas are pinned by tests against the raw difference
-quotient at rational sample points. Everything here is exact; q must be a
-rational with 0 <= q < 1 and all arithmetic is over Fraction.
+quotient at rational sample points. They run on integers: with q = a/b,
+b**(k-1) [k]_q is an integer, so the numerators at depth n+1 times
+b**(n-1) are integer combinations of those at depth n. Everything here is
+exact; q must be a rational with 0 <= q < 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -231,33 +235,75 @@ def geometric_unit() -> BasisElement:
     return BasisElement(1, (Fraction(1),))
 
 
-def jackson_dq(e: BasisElement, q: Rational) -> BasisElement:
-    """Apply D_q; the result has depth e.depth + 1."""
-    q = Fraction(q)
-    n = e.depth
-    out = [Fraction(0)] * (len(e.coeffs) + 1)
-    for j, c in enumerate(e.coeffs):
+@lru_cache(maxsize=None)
+def _action_tables(q: Fraction, n: int) -> tuple[tuple[int, ...], ...]:
+    """Integer factors of the actions at depth n, for q = a/b: the scaled
+    q-numbers b**(k-1) [k]_q, the powers a**k and the powers b**k, for
+    k = 0..n."""
+    a, b = q.numerator, q.denominator
+    numbers, a_powers, b_powers = [0], [1], [1]
+    for _ in range(n):
+        numbers.append(numbers[-1] * b + a_powers[-1])
+        a_powers.append(a_powers[-1] * a)
+        b_powers.append(b_powers[-1] * b)
+    return tuple(numbers), tuple(a_powers), tuple(b_powers)
+
+
+def _trimmed(out: list[int]) -> list[int]:
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def dq_scaled(nums: Sequence[int], n: int, q: Fraction) -> list[int]:
+    """D_q on integer numerators at depth n, for q = a/b.
+
+    The result holds the numerators at depth n + 1 times b**(n-1) (nothing
+    is scaled at n = 0, where the action is zero), so no division occurs.
+    """
+    numbers, a_powers, b_powers = _action_tables(q, n)
+    out = [0] * (len(nums) + 1)
+    for j, c in enumerate(nums):
         if c == 0:
             continue
         if j > n:
             raise ValueError("D_q action needs numerator degree <= depth")
         if j >= 1:
-            out[j - 1] += c * q_number(j, q)
-        out[j] += c * q ** j * q_number(n - j, q)
-    return BasisElement(n + 1, out)
+            out[j - 1] += c * numbers[j] * b_powers[n - j]
+        out[j] += c * a_powers[j] * numbers[n - j]
+    return _trimmed(out)
 
 
-def jackson_dq_z(e: BasisElement, q: Rational) -> BasisElement:
-    """Apply D_q after multiplying by z; the result has depth e.depth + 1."""
-    q = Fraction(q)
-    n = e.depth
-    out = [Fraction(0)] * (len(e.coeffs) + 1)
-    for j, c in enumerate(e.coeffs):
+def dq_z_scaled(nums: Sequence[int], n: int, q: Fraction) -> list[int]:
+    """D_q . z on integer numerators at depth n, scaled as in dq_scaled."""
+    numbers, a_powers, b_powers = _action_tables(q, n)
+    out = [0] * (len(nums) + 1)
+    for j, c in enumerate(nums):
         if c == 0:
             continue
         if j > n - 1:
             raise ValueError("D_q.z action needs numerator degree < depth")
-        out[j] += c * q_number(j + 1, q)
-        if n - 1 - j > 0:
-            out[j + 1] += c * q ** (j + 1) * q_number(n - 1 - j, q)
-    return BasisElement(n + 1, out)
+        out[j] += c * numbers[j + 1] * b_powers[n - 1 - j]
+        out[j + 1] += c * a_powers[j + 1] * numbers[n - 1 - j]
+    return _trimmed(out)
+
+
+def _act(action, e: BasisElement, q: Rational) -> BasisElement:
+    """Run an integer action on e over the common denominator of its
+    coefficients."""
+    q = Fraction(q)
+    den = lcm(*(c.denominator for c in e.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in e.coeffs]
+    out = action(nums, e.depth, q)
+    den *= q.denominator ** max(e.depth - 1, 0)
+    return BasisElement(e.depth + 1, (Fraction(c, den) for c in out))
+
+
+def jackson_dq(e: BasisElement, q: Rational) -> BasisElement:
+    """Apply D_q; the result has depth e.depth + 1."""
+    return _act(dq_scaled, e, q)
+
+
+def jackson_dq_z(e: BasisElement, q: Rational) -> BasisElement:
+    """Apply D_q after multiplying by z; the result has depth e.depth + 1."""
+    return _act(dq_z_scaled, e, q)

@@ -9,6 +9,7 @@ notation is rejected so that no value ever passes through floating point.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
@@ -23,5 +24,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Render an exact value as "p" or "p/q" (lowest terms)."""
-    return str(Fraction(value))
+    """Render an exact value as "p" or "p/q" (lowest terms).
+
+    Python refuses to convert integers of more digits than
+    sys.get_int_max_str_digits() to text; that guard is for untrusted
+    input, so it is lifted here, for output only, and restored after.
+    """
+    value = Fraction(value)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -6,7 +6,9 @@ variable, computed two independent ways:
 * operator route: starting from 1/(1-z), apply for each part (right to
   left) one q-difference derivative followed by s_j - 1 applications of
   "multiply by z then differentiate". After L+1 applications the basis
-  denominator has depth L+2 and the numerator coefficients are w.
+  denominator has depth L+2 and the numerator coefficients are w. The
+  walk runs on integer numerators over a power of den(q) and is memoized
+  by suffix of the parts.
 * series route: multiply the truncated power series
   sum_n z^n prod_j ([n+j+1]_q)^(s_j) by the expanded (z;q)_(L+2); all
   product coefficients beyond degree L-r must cancel exactly.
@@ -40,9 +42,8 @@ from .lattice import (
 from .qcalc import (
     QPolynomial,
     Rational,
-    geometric_unit,
-    jackson_dq,
-    jackson_dq_z,
+    dq_scaled,
+    dq_z_scaled,
     pochhammer_polynomial,
     q_number,
     q_pochhammer,
@@ -56,18 +57,44 @@ def _validate_composition(sigma) -> tuple[int, ...]:
     return parts
 
 
+# Integer numerators and the power of den(q) under them, of the element
+# reached from 1/(1-z) by applying a suffix of the parts, keyed by
+# (q, suffix); every shorter suffix of a key is a key too
+_suffix_elements: dict[tuple[Fraction, tuple[int, ...]], tuple[list[int], int]] = {}
+
+
+def _w_scaled(parts: tuple[int, ...], q: Fraction) -> tuple[list[int], int]:
+    """Coefficients of w_parts as integers over den(q)**shift, with shift.
+
+    Parts are applied right to left, so the walk starts from the element
+    of the longest suffix already computed and memoizes each new one.
+    """
+    start = len(parts)
+    while start > 0 and (q, parts[start - 1 :]) in _suffix_elements:
+        start -= 1
+    if start < len(parts):
+        nums, shift = _suffix_elements[(q, parts[start:])]
+    else:
+        nums, shift = [1], 0  # 1/(1-z) = 1/(z;q)_1
+    depth = sum(parts[start:]) + 1
+    for i in range(start - 1, -1, -1):
+        for k in range(parts[i]):
+            action = dq_scaled if k == 0 else dq_z_scaled
+            nums = action(nums, depth, q)
+            shift += depth - 1
+            depth += 1
+        _suffix_elements[(q, parts[i:])] = (nums, shift)
+    assert depth == sum(parts) + 1
+    return nums, shift
+
+
 def w_sigma_operator(sigma, q: Rational) -> QPolynomial:
-    """Composition polynomial via the iterated difference-operator product."""
-    parts = _validate_composition(sigma)
+    """Composition polynomial via the iterated difference-operator product:
+    one D_q and then s - 1 applications of D_q . z per part."""
     q = Fraction(q)
-    L = sum(parts) - 1
-    e = geometric_unit()
-    for s in reversed(parts):
-        e = jackson_dq(e, q)
-        for _ in range(s - 1):
-            e = jackson_dq_z(e, q)
-    assert e.depth == L + 2
-    return e.numerator()
+    nums, shift = _w_scaled(_validate_composition(sigma), q)
+    den = q.denominator ** shift
+    return QPolynomial(Fraction(c, den) for c in nums)
 
 
 def w_sigma_series(sigma, q: Rational) -> QPolynomial:
@@ -102,13 +129,16 @@ def w_sigma_series(sigma, q: Rational) -> QPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _w_polynomial(sigma: tuple[int, ...], q: Fraction) -> QPolynomial:
-    return w_sigma_operator(sigma, q)
-
-
-@lru_cache(maxsize=None)
 def _w_value(sigma: tuple[int, ...], q: Fraction, z: Fraction) -> Fraction:
-    return _w_polynomial(sigma, q)(z)
+    """w_sigma(z) by Horner's rule on the integer numerators."""
+    nums, shift = _w_scaled(sigma, q)
+    u, v = z.numerator, z.denominator
+    acc, v_power = 0, 1
+    for c in reversed(nums):
+        acc = acc * u + c * v_power
+        v_power *= v
+    # acc is v**degree * den(q)**shift * w_sigma(z)
+    return Fraction(acc, q.denominator ** shift * v ** (len(nums) - 1))
 
 
 @dataclass(frozen=True)
@@ -163,10 +193,21 @@ class ModelParams:
         return q_pochhammer(ab, q, 2) / q_pochhammer(ab, q, L + 2)
 
 
+def shape_weight(
+    sigma: tuple[int, ...], start_height: int, end_height: int, p: ModelParams
+) -> Fraction:
+    """B**end_height A**start_height w_sigma(AB): the weight of every path
+    with composition sigma that starts start_height and ends end_height
+    above its minimum."""
+    w = _w_value(sigma, p.q, p.ab)
+    return p.B ** end_height * p.A ** start_height * w
+
+
 def path_weight(gamma: LatticePath, p: ModelParams) -> Fraction:
     """Two-layer weight read off a path: B**(end-min) A**(-min) w(AB)."""
-    w = _w_value(composition_of(gamma), p.q, p.ab)
-    return p.B ** (gamma.end - gamma.minimum) * p.A ** (-gamma.minimum) * w
+    return shape_weight(
+        composition_of(gamma), -gamma.minimum, gamma.end - gamma.minimum, p
+    )
 
 
 def q_weight(tau: Occupation, xi: Occupation, p: ModelParams) -> Fraction:
@@ -199,5 +240,5 @@ def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
 
 def clear_weight_caches() -> None:
     """Drop memoized composition polynomials and values (mainly for tests)."""
-    _w_polynomial.cache_clear()
+    _suffix_elements.clear()
     _w_value.cache_clear()

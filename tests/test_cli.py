@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from asep2l.ensemble import (
 from asep2l.errors import EnumerationCapExceeded
 from asep2l.lattice import MAX_L, Occupation
 from asep2l.oracle import build_generator, gillespie_simulate, rates_from_params
+from asep2l.rational import parse_rational
 from asep2l.sampler import sample_two_layer
 from asep2l.weights import ModelParams, partition_Z, w_sigma_operator
 
@@ -53,12 +58,6 @@ class TestMu:
         assert lines[0] == "state,probability"
         assert len(lines) == 3
 
-    def test_jobs_do_not_change_output(self, capsys):
-        args = ("mu", "--L", "3", "--q", "1/3", "--A", "2", "--B", "3")
-        _, seq = run(capsys, *args, "--jobs", "1")
-        _, par = run(capsys, *args, "--jobs", "2")
-        assert seq == par
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "mu.json"
         code, out = run(
@@ -76,7 +75,8 @@ class TestMu:
         assert run(capsys, "nonsense")[0] == 2
 
     def test_cap_is_usage_error(self, capsys):
-        code, _ = run(capsys, "mu", "--L", "12", "--q", "1/2", "--A", "1", "--B", "1")
+        L = str(MAX_L["marginal"] + 1)
+        code, _ = run(capsys, "mu", "--L", L, "--q", "1/2", "--A", "1", "--B", "1")
         assert code == 2
 
 
@@ -92,6 +92,19 @@ class TestWsigma:
     def test_rejects_bad_sigma(self, capsys):
         assert run(capsys, "wsigma", "--sigma", "0,2", "--q", "1/2")[0] == 2
         assert run(capsys, "wsigma", "--sigma", "", "--q", "1/2")[0] == 2
+
+    def test_prints_results_over_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out = run(capsys, "wsigma", "--sigma", "60", "--q", "9/10")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        texts = json.loads(out)["coeffs"]
+        assert max(len(c) for c in texts) > 640
+        coeffs = [parse_rational(c) for c in texts]
+        assert coeffs == list(w_sigma_operator((60,), F(9, 10)).coeffs)
 
 
 class TestQWeightAndPartition:
@@ -274,6 +287,13 @@ OPERATIONS = {
         _handler("qweight", "--tau", "0" * BIG, "--xi", "0" * BIG, *P_ARGS),
     ],
 }
+
+
+def test_numpy_is_not_imported_by_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    check = "import asep2l.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)
 
 
 class TestAdmission:

@@ -21,6 +21,7 @@ from asep2l.ensemble import (
     two_layer_law,
 )
 from asep2l.lattice import (
+    MAX_L,
     LatticePath,
     Occupation,
     enumerate_occupations,
@@ -97,7 +98,7 @@ class TestStationaryMu:
 
     @pytest.mark.parametrize("p", GRID)
     def test_equals_path_pushforward(self, p):
-        for L in range(5):
+        for L in range(8):
             assert path_law_top_marginal(path_law(L, p)) == stationary_mu(L, p)
 
     def test_strictly_positive(self):
@@ -108,13 +109,9 @@ class TestStationaryMu:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapExceeded):
-            stationary_mu(11, GRID[0])
+            stationary_mu(MAX_L["marginal"] + 1, GRID[0])
         with pytest.raises(EnumerationCapExceeded):
             stationary_mu(3, GRID[0], max_L=2)
-
-    def test_parallel_jobs_match_sequential(self):
-        p = ModelParams(F(1, 2), F(1), F(2))
-        assert stationary_mu(4, p, jobs=3) == stationary_mu(4, p)
 
 
 class TestPhiTable:

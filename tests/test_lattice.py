@@ -16,7 +16,6 @@ from asep2l.lattice import (
     enumerate_occupations,
     enumerate_paths,
     is_motzkin,
-    path_from_index,
     path_of,
     tau_from_path,
     xi_of,
@@ -132,14 +131,6 @@ class TestEnumeration:
         assert paths == list(enumerate_paths(3))
         assert paths[0].values == (0, -1, -2, -3)
         assert paths[-1].values == (0, 1, 2, 3)
-
-    def test_path_from_index_matches_enumeration(self):
-        for L in range(4):
-            paths = list(enumerate_paths(L))
-            for k, g in enumerate(paths):
-                assert path_from_index(L, k) == g
-        with pytest.raises(IndexError):
-            path_from_index(2, 9)
 
     @pytest.mark.parametrize("L", range(1, 6))
     def test_pair_path_bijection(self, L):

@@ -10,6 +10,7 @@ from asep2l.lattice import Occupation, enumerate_occupations, enumerate_paths, p
 from asep2l.qcalc import QPolynomial, poly_eval, q_factorial, q_number
 from asep2l.weights import (
     ModelParams,
+    clear_weight_caches,
     partition_Z,
     q_weight,
     tilde_q_weight,
@@ -59,9 +60,12 @@ class TestCompositionPolynomial:
 
     @pytest.mark.parametrize("q", QS)
     def test_operator_equals_series(self, q):
+        # q and 2/3 interleave in one memo, which must keep them apart
+        clear_weight_caches()
         for L in range(7):
             for sigma in compositions_of(L + 1):
-                assert w_sigma_operator(sigma, q) == w_sigma_series(sigma, q)
+                for r in (q, F(2, 3)):
+                    assert w_sigma_operator(sigma, r) == w_sigma_series(sigma, r)
 
     @pytest.mark.parametrize("q", QS)
     def test_nonnegative_coefficients_and_degree(self, q):
