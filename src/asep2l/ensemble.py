@@ -30,10 +30,11 @@ from .lattice import (
     admit,
     enumerate_occupations,
     enumerate_pairs,
+    enumerate_paths,
     is_motzkin,
     path_of,
 )
-from .weights import ModelParams, path_masses, q_weight, shape_weight
+from .weights import ModelParams, _extend, q_weight, shape_weight
 
 
 class Distribution:
@@ -137,21 +138,6 @@ def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None
         sub = (sub - 1) & mask
 
 
-def _extend(key: tuple[tuple[int, ...], int, int], step: int):
-    """The key of a path extended by one step.
-
-    A key is (composition, start height, end height), with heights counted
-    from the path's minimum; a path's weight depends on nothing else.
-    """
-    sigma, start, end = key
-    h = end + step
-    if h < 0:
-        return (1,) + sigma, start + 1, 0
-    if h == len(sigma):
-        return sigma + (1,), start, h
-    return sigma[:h] + (sigma[h] + 1,) + sigma[h + 1 :], start, h
-
-
 def _path_weights(L: int, p: ModelParams) -> tuple[list[int], int]:
     """Weights of the 3**L paths in step-lexicographic order, as integers
     over one common denominator, which is returned with them.
@@ -244,8 +230,12 @@ def _phi_table(L: int, p: ModelParams) -> PhiTable:
 
 def path_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
     """Marginal law of the path: mass 2**H(gamma) * weight(gamma)."""
-    admit("paths", L, max_L)
-    return _normalized(path_masses(L, p))
+    admit("marginal", L, max_L)
+    weights, _ = _path_weights(L, p)
+    paths = list(enumerate_paths(L))
+    masses = [w << g.horizontal for w, g in zip(weights, paths)]
+    total = sum(masses)
+    return Distribution(paths, [Fraction(m, total) for m in masses])
 
 
 def top_marginal(pairs: Distribution) -> Distribution:

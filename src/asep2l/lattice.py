@@ -105,7 +105,8 @@ class Occupation:
         )
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits())
+        # format puts site L first; length 0 would still print one digit
+        return format(self.word, f"0{self.length}b")[::-1] if self.length else ""
 
     def __repr__(self) -> str:
         return f"Occupation({str(self)!r})" if self.length else "Occupation('')"

@@ -1,11 +1,17 @@
 """Exact inverse-CDF sampling from the two-layer ensemble.
 
-Draws are made against exact rational cumulative tables. Uniform variates
-are 128-bit dyadic rationals, so every CDF comparison is an exact integer
-comparison and no draw can be misclassified at a cell boundary. The
-default route tabulates the 3**L path law and fills level steps with fair
-coin flips; the alternative tabulates all 4**L pairs directly. Identical
-(seed, parameters, route) reproduce identical batches.
+Draws are made against integer cumulative masses C_1 <= ... <= C_N = T.
+A uniform variate is a 128-bit dyadic rational U / 2**128, and it falls
+in the first cell with C_i / T > U / 2**128. For integer C_i that is
+C_i > floor(U * T / 2**128), so one integer product, one shift and a
+bisection place every draw exactly, with no cell boundary misjudged.
+
+The default route weighs the 3**L paths over one common denominator (the
+table stationary_mu builds), gives each path the mass w << H of its 2**H
+pairs, H being its number of level steps, and fills the level steps of a
+drawn path with fair coin flips, from site 1 to site L. The alternative
+tabulates all 4**L pairs directly. Identical (seed, parameters, route)
+reproduce identical batches.
 """
 
 from __future__ import annotations
@@ -15,13 +21,20 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import lshift
+from typing import Callable, Iterable
 
-from .ensemble import Distribution, path_law, two_layer_law
-from .lattice import Occupation, tau_from_path, xi_of
+from .ensemble import Distribution, _path_weights, two_layer_law
+from .lattice import Occupation, admit
 from .weights import ModelParams
 
 _UNIFORM_BITS = 128
-_UNIFORM_DEN = 1 << _UNIFORM_BITS
+
+# Largest batch: the draws and the CSV lines of the CLI are held in memory.
+# `sample --L 14 --n MAX_DRAWS` is measured in the README's size limits.
+MAX_DRAWS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -39,13 +52,54 @@ class SampleBatch:
         return len(self.draws)
 
 
-def _cumulative(dist: Distribution) -> list[Fraction]:
-    acc = Fraction(0)
-    cum = []
-    for p in dist.probs:
-        acc += p
-        cum.append(acc)
-    return cum
+def _inverse_cdf(masses: Iterable[int]) -> Callable[[random.Random], int]:
+    """A draw of an index with probability proportional to masses."""
+    cum = list(accumulate(masses))
+    total = cum[-1]
+
+    def draw(rng: random.Random) -> int:
+        return bisect_right(cum, (rng.getrandbits(_UNIFORM_BITS) * total) >> _UNIFORM_BITS)
+
+    return draw
+
+
+def _site_masks(sites: int, offset: int) -> list[tuple[int, int]]:
+    """(down, level) masks of the 3**sites step sequences over sites
+    offset+1 .. offset+sites, in step-lexicographic order."""
+    masks = [(0, 0)]
+    for j in range(offset, offset + sites):
+        bit = 1 << j
+        masks = [m for d, h in masks for m in ((d | bit, h), (d, h | bit), (d, h))]
+    return masks
+
+
+def _path_draws(L: int, p: ModelParams, n: int, rng: random.Random) -> list:
+    """n pairs drawn through the path law, then coins on the level steps."""
+    weights, _ = _path_weights(L, p)
+    levels = [0]
+    for _ in range(L):
+        levels = [h + step for h in levels for step in (0, 1, 0)]
+    draw = _inverse_cdf(map(lshift, weights, levels))
+    del weights, levels  # only the cumulative masses stay for the draws
+    # path index i = hi * 3**low + lo: hi holds sites 1..L-low, lo the rest
+    low = L // 2
+    head, tail = _site_masks(L - low, 0), _site_masks(low, L - low)
+    occupations = [Occupation(L, word) for word in range(1 << L)]
+    full = (1 << L) - 1
+    draws = []
+    for _ in range(n):
+        hi, lo = divmod(draw(rng), len(tail))
+        down = head[hi][0] | tail[lo][0]
+        level = head[hi][1] | tail[lo][1]
+        tau = full & ~(down | level)
+        rest = level
+        while rest:  # level sites from site 1 to site L
+            bit = rest & -rest
+            if rng.getrandbits(1):
+                tau |= bit
+            rest ^= bit
+        draws.append((occupations[tau], occupations[(tau & level) | down]))
+    return draws
 
 
 def sample_two_layer(
@@ -59,25 +113,17 @@ def sample_two_layer(
     """Draw n pairs by exact inverse CDF along the chosen route."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MAX_DRAWS:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_DRAWS} draws")
     rng = random.Random(seed)
-    draws = []
     if route == "path":
-        law = path_law(L, p, max_L)
-        cum = _cumulative(law)
-        for _ in range(n):
-            u = Fraction(rng.getrandbits(_UNIFORM_BITS), _UNIFORM_DEN)
-            gamma = law.states[bisect_right(cum, u)]
-            eta = [
-                rng.getrandbits(1) if step == 0 else 0 for step in gamma.steps()
-            ]
-            tau = tau_from_path(gamma, eta)
-            draws.append((tau, xi_of(tau, gamma)))
+        admit("paths", L, max_L)
+        draws = _path_draws(L, p, n, rng)
     elif route == "pair":
         law = two_layer_law(L, p, max_L)
-        cum = _cumulative(law)
-        for _ in range(n):
-            u = Fraction(rng.getrandbits(_UNIFORM_BITS), _UNIFORM_DEN)
-            draws.append(law.states[bisect_right(cum, u)])
+        den = lcm(*(pr.denominator for pr in law.probs))
+        draw = _inverse_cdf(pr.numerator * (den // pr.denominator) for pr in law.probs)
+        draws = [law.states[draw(rng)] for _ in range(n)]
     else:
         raise ValueError(f"route must be 'path' or 'pair', got {route!r}")
     return SampleBatch(L=L, params=p, seed=seed, route=route, draws=tuple(draws))

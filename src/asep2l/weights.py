@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import SingularParameter
 from .lattice import (
@@ -36,7 +35,6 @@ from .lattice import (
     Occupation,
     admit,
     composition_of,
-    enumerate_paths,
     path_of,
 )
 from .qcalc import (
@@ -182,15 +180,20 @@ class ModelParams:
 
     def tilde_scale(self, L: int) -> Fraction:
         """(AB;q)_2 / (AB;q)_(L+2), refusing poles with SingularParameter."""
-        ab, q = self.ab, self.q
-        power = Fraction(1)
-        for k in range(L + 2):
-            if ab * power == 1:
-                raise SingularParameter(
-                    f"A*B == q**-{k} makes the rescaled weight singular at L={L}"
-                )
-            power *= q
-        return q_pochhammer(ab, q, 2) / q_pochhammer(ab, q, L + 2)
+        return _tilde_scale(self.q, self.ab, L)
+
+
+@lru_cache(maxsize=None)
+def _tilde_scale(q: Fraction, ab: Fraction, L: int) -> Fraction:
+    # lru_cache keeps no exception, so a pole raises on every call
+    power = Fraction(1)
+    for k in range(L + 2):
+        if ab * power == 1:
+            raise SingularParameter(
+                f"A*B == q**-{k} makes the rescaled weight singular at L={L}"
+            )
+        power *= q
+    return q_pochhammer(ab, q, 2) / q_pochhammer(ab, q, L + 2)
 
 
 def shape_weight(
@@ -222,23 +225,46 @@ def tilde_q_weight(tau: Occupation, xi: Occupation, p: ModelParams) -> Fraction:
     return p.tilde_scale(tau.length) * q_weight(tau, xi, p)
 
 
-def path_masses(L: int, p: ModelParams) -> Iterator[tuple[LatticePath, Fraction]]:
-    """Each of the 3**L paths with its mass 2**H(gamma) * weight(gamma).
+def _extend(key: tuple[tuple[int, ...], int, int], step: int):
+    """The key of a path extended by one step.
 
-    The mass is the total weight of the 2**H pairs (tau, xi) that share
-    the path, one per choice of top-layer bits on its H level steps.
+    A key is (composition, start height, end height), with heights counted
+    from the path's minimum; a path's weight depends on nothing else.
     """
-    for gamma in enumerate_paths(L):
-        yield gamma, (1 << gamma.horizontal) * path_weight(gamma, p)
+    sigma, start, end = key
+    h = end + step
+    if h < 0:
+        return (1,) + sigma, start + 1, 0
+    if h == len(sigma):
+        return sigma + (1,), start, h
+    return sigma[:h] + (sigma[h] + 1,) + sigma[h + 1 :], start, h
 
 
 def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
-    """Normalization: the sum of Q over all 4**L pairs, summed by path."""
+    """Normalization: the sum of Q over all 4**L pairs, summed by key.
+
+    A path with H level steps stands for 2**H pairs, so a key's
+    multiplicity, grown one step at a time, is the sum of 2**H over the
+    paths that reach it.
+    """
     admit("paths", L, max_L)
-    return sum((mass for _, mass in path_masses(L, p)), Fraction(0))
+    mult = {((1,), 0, 0): 1}
+    for _ in range(L):
+        grown: dict = {}
+        for key, m in mult.items():
+            for step, factor in ((-1, 1), (0, 2), (1, 1)):
+                child = _extend(key, step)
+                grown[child] = grown.get(child, 0) + factor * m
+        mult = grown
+    return sum(
+        (m * shape_weight(sigma, start, end, p) for (sigma, start, end), m in mult.items()),
+        Fraction(0),
+    )
 
 
 def clear_weight_caches() -> None:
-    """Drop memoized composition polynomials and values (mainly for tests)."""
+    """Drop memoized composition polynomials, values and rescaling factors
+    (mainly for tests)."""
     _suffix_elements.clear()
     _w_value.cache_clear()
+    _tilde_scale.cache_clear()

@@ -268,7 +268,11 @@ BIG = 10 ** 6
 RATES = rates_from_params(P)
 # every operation that admits a size, by its row of MAX_L
 OPERATIONS = {
-    "marginal": [lambda: stationary_mu(BIG, P), lambda: phi_table(BIG, P)],
+    "marginal": [
+        lambda: stationary_mu(BIG, P),
+        lambda: phi_table(BIG, P),
+        lambda: path_law(BIG, P),
+    ],
     "pairs": [
         lambda: two_layer_law(BIG, P),
         lambda: duchi_distribution(BIG, 1, 2),
@@ -276,7 +280,6 @@ OPERATIONS = {
     ],
     "paths": [
         lambda: partition_Z(BIG, P),
-        lambda: path_law(BIG, P),
         lambda: sample_two_layer(BIG, P, 1, seed=0),
     ],
     "generator": [lambda: build_generator(BIG, RATES)],

@@ -25,10 +25,11 @@ from asep2l.lattice import (
     LatticePath,
     Occupation,
     enumerate_occupations,
+    enumerate_paths,
     is_motzkin,
     path_of,
 )
-from asep2l.weights import ModelParams, q_weight
+from asep2l.weights import ModelParams, path_weight, q_weight
 
 GRID = [
     ModelParams(F(0), F(1), F(2)),
@@ -149,6 +150,23 @@ class TestPhiTable:
 
 
 class TestPathLaw:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelParams(F(1, 2), F(1), F(2)),
+            ModelParams(F(1, 3), F(0), F(2)),
+            ModelParams(F(1, 2), F(2), F(0)),
+            ModelParams(F(9, 10), F(1, 7), F(5, 3)),
+        ],
+    )
+    def test_masses_are_level_multiplicity_times_weight(self, p):
+        for L in range(6):
+            law = path_law(L, p)
+            masses = [(1 << g.horizontal) * path_weight(g, p) for g in enumerate_paths(L)]
+            total = sum(masses)
+            assert law.states == tuple(enumerate_paths(L))
+            assert law.probs == tuple(m / total for m in masses)
+
     def test_size_one_at_origin(self):
         law = path_law(1, ModelParams(F(0), F(1), F(1)))
         flat = LatticePath([0, 0])

@@ -1,13 +1,57 @@
 """Tests for exact inverse-CDF sampling and empirical comparison."""
 
+import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
 
+from asep2l.cli import main
 from asep2l.ensemble import path_law, stationary_mu, two_layer_law
-from asep2l.lattice import is_motzkin, path_of
-from asep2l.sampler import empirical_compare, sample_two_layer
+from asep2l.lattice import is_motzkin, path_of, tau_from_path, xi_of
+from asep2l.sampler import MAX_DRAWS, empirical_compare, sample_two_layer
 from asep2l.weights import ModelParams
+
+
+def reference_draws(L, p, n, seed, route):
+    """The slow sampler: a Fraction CDF over the tabulated law, and for
+    the path route validated paths and occupations per draw."""
+    law = path_law(L, p) if route == "path" else two_layer_law(L, p)
+    cum = []
+    acc = F(0)
+    for pr in law.probs:
+        acc += pr
+        cum.append(acc)
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        u = F(rng.getrandbits(128), 2 ** 128)
+        state = law.states[bisect_right(cum, u)]
+        if route == "path":
+            eta = [rng.getrandbits(1) if step == 0 else 0 for step in state.steps()]
+            tau = tau_from_path(state, eta)
+            state = (tau, xi_of(tau, state))
+        draws.append(state)
+    return tuple(draws)
+
+
+REFERENCE_POINTS = [
+    ModelParams(F(1, 2), F(1), F(2)),
+    ModelParams(F(1, 3), F(0), F(2)),
+    ModelParams(F(1, 2), F(2), F(0)),
+    ModelParams(F(1, 2), F(0), F(0)),
+    ModelParams(F(9, 10), F(1, 7), F(5, 3)),
+    ModelParams(F(0), F(1), F(1)),
+]
+
+
+@pytest.mark.parametrize("route", ["path", "pair"])
+@pytest.mark.parametrize("p", REFERENCE_POINTS)
+def test_draws_equal_the_fraction_cdf_reference(p, route):
+    for L in range(7):
+        for seed in (0, 1, 2024):
+            batch = sample_two_layer(L, p, 300, seed, route=route)
+            assert batch.draws == reference_draws(L, p, 300, seed, route), (L, seed)
 
 
 class TestSampling:
@@ -34,6 +78,18 @@ class TestSampling:
     def test_negative_count(self):
         with pytest.raises(ValueError):
             sample_two_layer(2, ModelParams(F(0), F(1), F(1)), -1, 0)
+
+    def test_count_is_limited_before_any_table(self, capsys):
+        p = ModelParams(F(1, 2), F(1), F(2))
+        with pytest.raises(ValueError, match="draws"):
+            sample_two_layer(1, p, MAX_DRAWS + 1, 0)
+        # a size no table could be built for still fails on the count
+        for route in ("path", "pair"):
+            with pytest.raises(ValueError, match="draws"):
+                sample_two_layer(10 ** 6, p, MAX_DRAWS + 1, 0, route=route)
+        argv = ["sample", "--L", "1", "--q", "1/2", "--A", "1", "--B", "2"]
+        assert main(argv + ["--n", str(MAX_DRAWS + 1)]) == 2
+        assert "draws" in capsys.readouterr().err
 
     def test_no_left_strength_forces_nonnegative_paths(self):
         p = ModelParams(F(1, 2), F(0), F(2))

@@ -144,10 +144,13 @@ class TestModelParams:
         p = ModelParams(F(1, 2), F(4), F(1))  # AB = 4 = q**-2
         # (ab;q)_2 / (ab;q)_2 = 1 at L = 0: pole factor k=2 not yet included
         assert p.tilde_scale(0) == 1
-        with pytest.raises(SingularParameter):
-            p.tilde_scale(1)
+        for _ in range(2):  # the memo keeps no refusal
+            with pytest.raises(SingularParameter):
+                p.tilde_scale(1)
         ok = ModelParams(F(1, 2), F(1), F(3))
         assert ok.tilde_scale(1) == 1 / (1 - 3 * F(1, 4))
+        # same A*B, another q: another scale
+        assert ModelParams(F(1, 4), F(3), F(1)).tilde_scale(1) == 1 / (1 - 3 * F(1, 16))
         sing_ab1 = ModelParams(F(1, 3), F(1), F(1))
         with pytest.raises(SingularParameter):
             sing_ab1.tilde_scale(0)
@@ -248,9 +251,9 @@ class TestPartitionFunction:
     def test_size_zero(self):
         assert partition_Z(0, PARAM_POINTS[0]) == 1
 
-    @pytest.mark.parametrize("p", PARAM_POINTS[:3])
+    @pytest.mark.parametrize("p", PARAM_POINTS)
     def test_matches_pair_sum(self, p):
-        for L in range(4):
+        for L in range(6):
             direct = sum(
                 q_weight(tau, xi, p)
                 for tau in enumerate_occupations(L)
