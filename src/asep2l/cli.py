@@ -166,8 +166,10 @@ def _cmd_sample(args) -> int:
     batch = sampler.sample_two_layer(
         args.L, p, args.n, seed=args.seed, route=args.route, max_L=args.max_L
     )
+    # draws repeat the 2**L words, so each is formatted once
+    names = [str(Occupation(args.L, word)) for word in range(1 << args.L)]
     lines = ["tau,xi"]
-    lines += [f"{t},{x}" for t, x in batch.draws]
+    lines += [f"{names[t.word]},{names[x.word]}" for t, x in batch.draws]
     _emit(args, "\n".join(lines))
     return EXIT_OK
 

@@ -163,7 +163,12 @@ class LatticePath:
         return isinstance(other, LatticePath) and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash(("LatticePath", self.values))
+        # the steps as base-3 digits after a leading 1, which is injective;
+        # hashing the values would not be, as hash(-1) == hash(-2)
+        code = 1
+        for a, b in zip(self.values, self.values[1:]):
+            code = 3 * code + b - a + 1
+        return code
 
     def __repr__(self) -> str:
         return f"LatticePath({list(self.values)!r})"

@@ -13,14 +13,15 @@ particle number N and boundary moves change it by one, so with the states
 ordered by N the transposed generator is block tridiagonal, with blocks
 of size C(L, N). stationary_exact pins the empty state to 1, eliminates
 block by block modulo a word-sized prime (Schur complements, each
-factored by a dense LU), and lifts that factorization p-adically to the
-exact rational solution (Dixon's method with rational reconstruction).
-This costs sum_N C(L, N)**3 operations per prime instead of 8**L for one
-dense LU. The result is normalized and verified exactly against the
-generator, x @ G = 0 and sum(x) = 1, before it is returned, and
-solvability modulo the prime certifies that the nullspace is
-one-dimensional. The dense solver solve_dixon is kept as the small-system
-cross-check.
+inverted by one Gauss-Jordan kernel), and lifts that elimination
+p-adically to the exact rational solution (Dixon's method with rational
+reconstruction). This costs sum_N C(L, N)**3 operations per prime
+instead of 8**L for one dense elimination, and each p-adic digit costs
+two matrix-vector products per block. The solution is kept as integer
+masses over one denominator and certified exactly against every column
+of the integer generator, x @ G = 0, before it is returned; solvability
+modulo the prime certifies that the nullspace is one-dimensional. The
+dense solver solve_dixon is kept as the small-system cross-check.
 
 The Gillespie simulator at the bottom is the only floating-point code in
 the package.
@@ -102,33 +103,33 @@ class GeneratorMatrix:
 
 
 def build_generator(L: int, r: Rates, max_L: int | None = None) -> GeneratorMatrix:
-    """Assemble the generator over all 2**L occupation words."""
+    """Assemble the generator over all 2**L occupation words.
+
+    Each move stores its rate object itself, shared by every row. Two moves
+    reach the same word only at L = 1, where site 1 is site L, and there
+    their rates are summed.
+    """
     admit("generator", L, max_L)
     if L < 1:
         raise ValueError("generator needs L >= 1")
     last = 1 << (L - 1)
+    right = Fraction(1)
     rows = []
     for w in range(1 << L):
         row: dict[int, Fraction] = {}
-
-        def add(target: int, rate: Fraction):
-            if rate != 0:
-                row[target] = row.get(target, Fraction(0)) + rate
-
         for i in range(L - 1):
             pair = (w >> i) & 3
             if pair == 1:  # occupied, free -> hop right
-                add(w ^ (3 << i), Fraction(1))
-            elif pair == 2:  # free, occupied -> hop left
-                add(w ^ (3 << i), r.q)
-        if w & 1:
-            add(w & ~1, r.gamma)  # leave at site 1
-        else:
-            add(w | 1, r.alpha)  # enter at site 1
-        if w & last:
-            add(w & ~last, r.beta)  # leave at site L
-        else:
-            add(w | last, r.delta)  # enter at site L
+                row[w ^ (3 << i)] = right
+            elif pair == 2 and r.q:  # free, occupied -> hop left
+                row[w ^ (3 << i)] = r.q
+        rate = r.gamma if w & 1 else r.alpha  # leave or enter at site 1
+        if rate:
+            row[w ^ 1] = rate
+        rate = r.beta if w & last else r.delta  # leave or enter at site L
+        if rate:
+            target = w ^ last
+            row[target] = row[target] + rate if target in row else rate
         rows.append(row)
     return GeneratorMatrix(L, tuple(rows))
 
@@ -139,19 +140,13 @@ def build_generator(L: int, r: Rates, max_L: int | None = None) -> GeneratorMatr
 
 def _integer_transpose(g: GeneratorMatrix):
     """Clear denominators and transpose: columns of the scaled generator."""
-    denoms = set()
-    for row in g.rows:
-        for rate in row.values():
-            denoms.add(rate.denominator)
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
+    scale = lcm(*{rate.denominator for row in g.rows for rate in row.values()})
     cols = [dict() for _ in range(g.dim)]
     for i, row in enumerate(g.rows):
         diag = 0
         for j, rate in row.items():
-            v = int(rate * scale)
-            cols[j][i] = cols[j].get(i, 0) + v
+            v = rate.numerator * (scale // rate.denominator)
+            cols[j][i] = v
             diag += v
         cols[i][i] = cols[i].get(i, 0) - diag
     return cols
@@ -215,42 +210,44 @@ class _SingularModP(Exception):
     pass
 
 
-def _lu_mod_p(dense: np.ndarray, p: int):
-    """LU with partial pivoting over GF(p); returns (lu, perm, inv_diag).
+def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of a square integer matrix over GF(p), entries in [0, p).
 
-    The trailing matrix is reduced lazily: an entry only collects
-    products below p**2, at most one per step, until its row or column
-    is reduced as the pivot's (see _primes_for for the int64 bound).
+    In-place Gauss-Jordan elimination with partial pivoting: step k scales
+    the pivot row by the pivot's inverse, which takes the pivot's place,
+    and subtracts multiples of that row from every other row; the row swaps
+    are undone as column swaps at the end. Reduction is lazy: only the
+    pivot row and column are reduced at each step, and every other entry
+    collects at most one product below p**2 per step on top of one
+    residue, so with n steps the n x n kernel sums at most n products
+    (see _primes_for). Raises _SingularModP if the matrix is singular
+    modulo p.
     """
-    a = dense % p
     n = a.shape[0]
-    perm = np.arange(n)
+    assert n * p * p < 2**63
+    a = a % p
+    update = np.empty_like(a)
+    swaps = []
     for k in range(n):
-        a[k:, k] %= p
-        nz = np.nonzero(a[k:, k])[0]
+        col = a[:, k] % p
+        nz = np.flatnonzero(col[k:])
         if nz.size == 0:
             raise _SingularModP
         piv = k + int(nz[0])
         if piv != k:
             a[[k, piv]] = a[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        a[k, k + 1 :] %= p
-        inv = pow(int(a[k, k]), p - 2, p)
-        mult = (a[k + 1 :, k] * inv) % p
-        a[k + 1 :, k] = mult
-        a[k + 1 :, k + 1 :] -= np.multiply.outer(mult, a[k, k + 1 :])
-    inv_diag = np.array([pow(int(a[i, i]), p - 2, p) for i in range(n)], dtype=np.int64)
-    return a, perm, inv_diag
-
-
-def _solve_mod_p(lu, perm, inv_diag, b: np.ndarray, p: int) -> np.ndarray:
-    """Solve with the factors of _lu_mod_p; b is a vector or a matrix."""
-    x = b[perm] % p
-    for i in range(1, len(x)):
-        x[i] = (x[i] - lu[i, :i] @ x[:i]) % p
-    for i in reversed(range(len(x))):
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) % p * inv_diag[i] % p
-    return x
+            col[[k, piv]] = col[[piv, k]]
+            swaps.append((k, piv))
+        inv = pow(int(col[k]), p - 2, p)
+        row = a[k] % p * inv % p
+        row[k] = inv
+        col[k] = 0
+        a[:, k] = 0
+        a[k] = row
+        a -= np.multiply.outer(col, row, out=update)
+    for k, piv in reversed(swaps):
+        a[:, [k, piv]] = a[:, [piv, k]]
+    return a % p
 
 
 def _rational_reconstruct(a: int, m: int) -> Fraction | None:
@@ -291,6 +288,11 @@ def _ell(rows: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return idx, val
 
 
+def _ell_mod_p(rows: list[dict[int, int]], p: int) -> tuple[np.ndarray, np.ndarray]:
+    idx, val = _ell(rows)
+    return idx, (val % p).astype(np.int64)
+
+
 def _gather(idx: np.ndarray, val: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Sparse rows (idx, val) times a vector or matrix x, unreduced."""
     return np.einsum("rk,rk...->r...", val, x[idx])
@@ -304,7 +306,7 @@ def _dense_mod_p(rows: list[dict[int, int]], width: int, p: int) -> np.ndarray:
     return a
 
 
-def _dixon(rows, rhs, k: int, factor, max_digits: int = 4096) -> list[Fraction]:
+def _dixon(rows, rhs, k: int, factor, max_digits: int = 4096) -> tuple[list[int], int]:
     """Solve a nonsingular integer system exactly by p-adic lifting.
 
     Dixon, "Exact solution of linear equations using p-adic expansions",
@@ -314,7 +316,8 @@ def _dixon(rows, rhs, k: int, factor, max_digits: int = 4096) -> list[Fraction]:
     modulo p, and the next prime is tried. Each p-adic digit costs one
     mod-p solve and one exact product with the system. Entries are
     recovered by rational reconstruction at doubling checkpoints, and a
-    candidate is returned only once it satisfies the system exactly.
+    candidate is returned only once it satisfies the system exactly, as
+    integer numerators over their least common denominator.
     """
     idx, val = _ell(rows)
     rhs = np.array(rhs, dtype=object)
@@ -344,7 +347,7 @@ def _dixon(rows, rhs, k: int, factor, max_digits: int = 4096) -> list[Fraction]:
                 den = lcm(*(f.denominator for f in x))
                 num = [f.numerator * (den // f.denominator) for f in x]
                 if (times(np.array(num, dtype=object)) == den * rhs).all():
-                    return x
+                    return num, den
         raise SingularSystem("p-adic lifting did not converge")
     raise SingularSystem("system singular modulo every tested prime")
 
@@ -352,19 +355,20 @@ def _dixon(rows, rhs, k: int, factor, max_digits: int = 4096) -> list[Fraction]:
 def solve_dixon(
     rows: list[dict[int, int]], rhs: list[int], max_digits: int = 4096
 ) -> list[Fraction]:
-    """Solve a nonsingular integer system exactly over one dense LU mod p.
+    """Solve a nonsingular integer system exactly over one dense inverse mod p.
 
     This is the small-system cross-check for the block solver inside
-    stationary_exact: it shares the lifting but not the elimination, and
-    costs O(n**3) per prime.
+    stationary_exact: it shares the lifting and the mod-p kernel but not
+    the elimination by blocks, and costs O(n**3) per prime.
     """
     n = len(rows)
 
     def factor(p):
-        lu = _lu_mod_p(_dense_mod_p(rows, n, p), p)
-        return lambda b: _solve_mod_p(*lu, b, p)
+        inv = _inverse_mod_p(_dense_mod_p(rows, n, p), p)
+        return lambda b: inv @ b % p
 
-    return _dixon(rows, rhs, n, factor, max_digits)
+    num, den = _dixon(rows, rhs, n, factor, max_digits)
+    return [Fraction(v, den) for v in num]
 
 
 def _pinned_blocks(cols, blocks):
@@ -405,42 +409,65 @@ def _pinned_blocks(cols, blocks):
     return rows, rhs, parts
 
 
-def _factor_blocks(parts, p: int):
-    """Block LU of the pinned system over GF(p); returns its solver.
+def _columns(rows: list[dict[int, int]], width: int) -> list[dict[int, int]]:
+    cols = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
 
-    The Schur complements S_1 = D_1 and S_N = D_N - Lo_N W_{N-1}, with
-    W_N = S_N^{-1} Up_N, are factored by _lu_mod_p. A solve is then one
-    forward sweep, z_N = S_N^{-1} (b_N - Lo_N z_{N-1}), and one backward
-    sweep, x_N = z_N - W_N x_{N+1}. Lo_N holds only boundary entries, at
-    most two per row, so its products gather rows rather than multiply
-    dense matrices.
+
+def _factor_blocks(parts, p: int):
+    """Block elimination of the pinned system over GF(p); returns its solver.
+
+    The Schur complements are S_1 = D_1 and S_{N+1} = D_{N+1} - Lo_{N+1}
+    S_N^{-1} Up_N, and each S_N^{-1} is kept mod p (_inverse_mod_p). Lo and
+    Up hold only boundary entries, at most two per row and per column, so
+    both products with them are gathers, and W_N = S_N^{-1} Up_N is never
+    formed. A solve is one forward sweep, z_N = S_N^{-1} y_N with y_N =
+    b_N - Lo_N z_{N-1}, and one backward sweep, x_N = S_N^{-1} (y_N - Up_N
+    x_{N+1}): two matrix-vector products per block. No kernel here sums
+    more products than the largest block has rows, since a row of Lo_N or
+    Up_N has no more entries than the block it reaches.
     """
     sizes = [len(d) for d, _, _ in parts]
-    lus, los, ws = [], [], []
+    invs, los, ups = [], [], []
     for t, (d, lo, up) in enumerate(parts):
-        idx, val = _ell(lo)
-        los.append((idx, (val % p).astype(np.int64)))
+        los.append(_ell_mod_p(lo, p))
+        ups.append(_ell_mod_p(up, p))
         s = _dense_mod_p(d, sizes[t], p)
         if t:
-            s = (s - _gather(*los[t], ws[-1])) % p
-        lus.append(_lu_mod_p(s, p))
-        if t + 1 < len(parts):
-            ws.append(_solve_mod_p(*lus[t], _dense_mod_p(up, sizes[t + 1], p), p))
+            lo_inv = _gather(*los[t], invs[-1]) % p
+            up_cols = _ell_mod_p(_columns(parts[t - 1][2], sizes[t]), p)
+            s = (s - _gather(*up_cols, lo_inv.T).T) % p
+        invs.append(_inverse_mod_p(s, p))
     bounds = np.cumsum([0] + sizes)
 
     def solve(b):
-        z = []
-        for t, lu in enumerate(lus):
+        ys, z = [], None
+        for t, inv in enumerate(invs):
             y = b[bounds[t] : bounds[t + 1]]
             if t:
-                y = (y - _gather(*los[t], z[-1])) % p
-            z.append(_solve_mod_p(*lu, y, p))
-        x = [z[-1]]
-        for t in reversed(range(len(ws))):
-            x.append((z[t] - ws[t] @ x[-1]) % p)
+                y = (y - _gather(*los[t], z)) % p
+            ys.append(y)
+            z = inv @ y % p
+        x = [z]
+        for t in reversed(range(len(invs) - 1)):
+            x.append(invs[t] @ ((ys[t] - _gather(*ups[t], x[-1])) % p) % p)
         return np.concatenate(x[::-1])
 
     return solve
+
+
+def _is_stationary(cols, masses: list[int]) -> bool:
+    """Exact certificate that masses, indexed by word, are proportional to
+    a stationary law: they are nonnegative, not all zero, and x @ G = 0 on
+    every column of the integer transpose cols (_integer_transpose)."""
+    return (
+        min(masses) >= 0
+        and any(masses)
+        and all(sum(v * masses[i] for i, v in col.items()) == 0 for col in cols)
+    )
 
 
 def stationary_exact(g: GeneratorMatrix) -> Distribution:
@@ -450,8 +477,9 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     transposed generator is block tridiagonal. The empty state is pinned,
     x(empty) = 1, and its equation dropped; the equations sum to zero, so
     it is redundant. The remaining square system is solved exactly by
-    p-adic lifting over a block elimination mod p (_factor_blocks), then
-    normalized by sum(x).
+    p-adic lifting over a block elimination mod p (_factor_blocks). The
+    solution is kept as integer masses over the least common denominator
+    of its entries, which is the empty word's mass.
 
     The pin is safe for every generator build_generator makes: alpha =
     1/(1+A) > 0 and beta = 1/(1+B) > 0, so the chain is irreducible and
@@ -460,23 +488,21 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     generator whose pinned system is singular raises SingularSystem, and
     one with a move that changes N by more than one raises ValueError.
     Nonsingularity modulo a prime certifies that the nullspace is
-    one-dimensional, and x @ G = 0 and sum(x) = 1 are verified exactly
-    before the result is returned.
+    one-dimensional, and the masses are certified exactly against every
+    column of the generator, the dropped one included (_is_stationary),
+    before the law is returned.
     """
     blocks = particle_blocks(g.L)
-    rows, rhs, parts = _pinned_blocks(_integer_transpose(g), blocks)
+    cols = _integer_transpose(g)
+    rows, rhs, parts = _pinned_blocks(cols, blocks)
     k = max(len(d) for d, _, _ in parts)
-    tail = _dixon(rows, rhs, k, lambda p: _factor_blocks(parts, p))
-    x = [Fraction(0)] * g.dim
-    for w, v in zip(np.concatenate(blocks).tolist(), [Fraction(1)] + tail):
-        x[w] = v
-    total = sum(x, Fraction(0))
-    x = [v / total for v in x]
-    if sum(x, Fraction(0)) != 1:
-        raise SingularSystem("solution failed exact normalization")
-    if any(v != 0 for v in g.apply_left(x)):
-        raise SingularSystem("solution does not annihilate the generator")
-    return occupation_law(g.L, dict(enumerate(x)))
+    tail, den = _dixon(rows, rhs, k, lambda p: _factor_blocks(parts, p))
+    masses = [0] * g.dim
+    for w, m in zip(np.concatenate(blocks).tolist(), [den] + tail):
+        masses[w] = m
+    if not _is_stationary(cols, masses):
+        raise SingularSystem("solution is not a stationary law of the generator")
+    return occupation_law(g.L, dict(enumerate(masses)))
 
 
 # ---------------------------------------------------------------------------

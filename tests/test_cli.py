@@ -258,6 +258,17 @@ class TestSample:
         assert code == 0
         assert len(out.strip().splitlines()) == 5
 
+    @pytest.mark.parametrize("route", ["path", "pair"])
+    def test_lines_are_the_library_draws(self, capsys, route):
+        # each word is formatted once; the lines must still be the draws'
+        for L in (0, 1, 4):
+            args = ("--L", str(L), "--n", "300", "--seed", "17", "--route", route)
+            code, out = run(capsys, "sample", *args, *P_ARGS)
+            assert code == 0
+            batch = sample_two_layer(L, P, 300, seed=17, route=route)
+            expected = ["tau,xi"] + [f"{tau},{xi}" for tau, xi in batch.draws]
+            assert out.splitlines() == expected
+
 
 def _handler(*argv):
     args = build_parser().parse_args(argv)

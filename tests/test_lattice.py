@@ -117,6 +117,15 @@ class TestLatticePath:
         assert composition_of(LatticePath([0] * 5)) == (5,)
         assert composition_of(LatticePath([0, 1, 2])) == (1, 1, 1)
 
+    def test_hashes_are_distinct_and_equal_for_equal_paths(self):
+        paths = list(enumerate_paths(9))
+        assert len({hash(g) for g in paths}) == len(paths) == 3**9
+        for g in paths[::997]:
+            twin = LatticePath(list(g.values))
+            assert twin == g and twin is not g and hash(twin) == hash(g)
+        # the leading digit keeps paths of different lengths apart
+        assert hash(LatticePath([0])) != hash(LatticePath([0, -1]))
+
     def test_is_motzkin(self):
         assert is_motzkin(LatticePath([0, 0, 0]))
         assert is_motzkin(LatticePath([0, 1, 0]))

@@ -2,8 +2,9 @@
 
 import random
 from fractions import Fraction as F
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
+import numpy as np
 import pytest
 from test_acceptance import AB_GRID, Q_GRID
 
@@ -14,7 +15,10 @@ from asep2l.oracle import (
     GeneratorMatrix,
     Rates,
     _integer_transpose,
+    _inverse_mod_p,
+    _is_stationary,
     _primes_for,
+    _SingularModP,
     build_generator,
     gillespie_simulate,
     particle_blocks,
@@ -36,13 +40,52 @@ ACCEPTANCE_GRID = [ModelParams(q, A, B) for q in Q_GRID for A, B in AB_GRID]
 
 def dense_stationary(g: GeneratorMatrix) -> Distribution:
     """The stationary law by the dense route: the normalization row takes
-    the place of the last equation, and one dense LU mod p is lifted."""
+    the place of the last equation, and one dense inverse mod p is lifted."""
     n = g.dim
     cols = _integer_transpose(g)
     cols[n - 1] = {j: 1 for j in range(n)}
     x = solve_dixon(cols, [0] * (n - 1) + [1])
     states = list(enumerate_occupations(g.L))
     return Distribution(states, [x[s.word] for s in states])
+
+
+def closure_generator(L: int, r: Rates) -> GeneratorMatrix:
+    """The generator as it was first built: a closure per word that adds
+    each nonzero rate to Fraction(0) or to the rate already there."""
+    last = 1 << (L - 1)
+    rows = []
+    for w in range(1 << L):
+        row = {}
+
+        def add(target, rate):
+            if rate != 0:
+                row[target] = row.get(target, F(0)) + rate
+
+        for i in range(L - 1):
+            pair = (w >> i) & 3
+            if pair == 1:
+                add(w ^ (3 << i), F(1))
+            elif pair == 2:
+                add(w ^ (3 << i), r.q)
+        if w & 1:
+            add(w & ~1, r.gamma)
+        else:
+            add(w | 1, r.alpha)
+        if w & last:
+            add(w & ~last, r.beta)
+        else:
+            add(w | last, r.delta)
+        rows.append(row)
+    return GeneratorMatrix(L, tuple(rows))
+
+
+def integer_masses(dist: Distribution, dim: int) -> list[int]:
+    """The law's probabilities, indexed by word, over their common denominator."""
+    den = lcm(*(pr.denominator for pr in dist.probs))
+    masses = [0] * dim
+    for occ, pr in dist.items():
+        masses[occ.word] = pr.numerator * (den // pr.denominator)
+    return masses
 
 
 class TestRates:
@@ -80,6 +123,14 @@ class TestGenerator:
                 assert all(rate >= 0 for rate in row.values())
                 assert i not in row
                 assert sum(row.values()) == -g.entry(i, i)
+
+    @pytest.mark.parametrize("p", POINTS + ACCEPTANCE_GRID)
+    def test_rows_equal_the_closure_build(self, p):
+        # covers q = 0, where left hops are absent, and L = 1, where the
+        # entry at site 1 and at site L reach the same word
+        r = rates_from_params(p)
+        for L in range(1, 7):
+            assert build_generator(L, r).rows == closure_generator(L, r).rows
 
     def test_two_state_rates(self):
         r = rates_from_params(ModelParams(F(1, 2), F(2), F(1)))
@@ -124,7 +175,7 @@ class TestExactSolvers:
 
     @pytest.mark.parametrize("p", POINTS + ACCEPTANCE_GRID)
     def test_methods_agree(self, p):
-        # the block solve by particle number against one dense LU
+        # the block solve by particle number against one dense inverse
         for L in range(1, 9):
             g = build_generator(L, rates_from_params(p))
             assert stationary_exact(g) == dense_stationary(g)
@@ -219,6 +270,43 @@ class TestExactSolvers:
         rows[3][0] = F(1)
         with pytest.raises(ValueError):
             stationary_exact(GeneratorMatrix(2, tuple(rows)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_inverse_mod_p_is_an_inverse(self, n):
+        rng = random.Random(n)
+        # the largest prime this size admits, where lazy reduction is tightest
+        p = _primes_for(n)[0]
+        a = np.array([[rng.randrange(-p, p) for _ in range(n)] for _ in range(n)])
+        # a row swap is needed at the first step: column 0 is 0 above the last row
+        a[:-1, 0] = 0
+        a[-1, 0] = 3
+        inv = _inverse_mod_p(a, p)
+        assert inv.dtype == np.int64 and ((0 <= inv) & (inv < p)).all()
+        exact = inv.astype(object) @ a.astype(object)
+        assert ((exact % p) == np.eye(n, dtype=object)).all()
+
+    def test_inverse_mod_p_refuses_a_singular_matrix(self):
+        p = _primes_for(3)[0]
+        a = np.array([[1, 2, 3], [2, 4, 6 + p], [0, 1, 1]])  # row 2 = 2 * row 1 mod p
+        with pytest.raises(_SingularModP):
+            _inverse_mod_p(a, p)
+        with pytest.raises(_SingularModP):
+            _inverse_mod_p(np.zeros((1, 1), dtype=np.int64), p)
+
+    @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
+    def test_certificate_accepts_only_the_stationary_masses(self, p):
+        for L in range(1, 6):
+            g = build_generator(L, rates_from_params(p))
+            cols = _integer_transpose(g)
+            masses = integer_masses(stationary_exact(g), g.dim)
+            assert _is_stationary(cols, masses)
+            assert _is_stationary(cols, [3 * m for m in masses])
+            for w in range(g.dim):
+                bumped = list(masses)
+                bumped[w] += 1
+                assert not _is_stationary(cols, bumped)
+            assert not _is_stationary(cols, [-m for m in masses])
+            assert not _is_stationary(cols, [0] * g.dim)
 
     def test_primes_keep_int64_sums_exact(self):
         for k in (1, 924, 1 << 13, 1 << 16, 1 << 30):
