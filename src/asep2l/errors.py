@@ -6,7 +6,8 @@ class AsepError(Exception):
 
 
 class SingularParameter(AsepError):
-    """Rescaled weights are requested at a pole (A*B equals some q**-k)."""
+    """Rescaled weights are requested at a pole: A*B*q**k == 1 for some
+    k in 2..L+1."""
 
 
 class NotInConfigurationSpace(AsepError):

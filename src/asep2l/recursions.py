@@ -6,6 +6,20 @@ summing each identity over the bottom layer yields the four basic weight
 equations for the table Phi. Every checker enumerates its full instance
 space at concrete rational parameters and compares sides exactly,
 recording the first few failures verbatim.
+
+The boundary and bulk checkers read every weight from the integer path
+table of its size. With T_L(word) = sum_j bit_(j-1)(word) * 3**(L-j), the
+path of (tau, xi) is number T_L(tau) - T_L(xi) + (3**L - 1) // 2 in
+step-lexicographic order, so
+
+    Qt_L(tau, xi) = tilde_scale(L) * W_L[that number] / den_L
+
+with (W_L, den_L) = ensemble._path_weights(L). T of a concatenation u v
+is T(u) * 3**len(v) + T(v), which gives the numbers of the extended pairs
+from those of the short ones. Each identity's rational constants are put
+over one denominator once, so an instance is one integer comparison,
+kl * (cd * W_hi[a] - cn * W_hi[b]) == kr * W_lo[c]; the exact Fraction
+sides are built only for a failure that is kept.
 """
 
 from __future__ import annotations
@@ -13,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ensemble import _phi_table
+from .ensemble import _path_weights, _phi_table
 from .lattice import Occupation, enumerate_occupations, enumerate_pairs
-from .weights import ModelParams, tilde_q_weight
+from .weights import ModelParams
 
 FAILURES_KEPT = 10
 
@@ -64,72 +78,122 @@ class VerificationReport:
         }
 
 
+def _ternary(L: int) -> list[int]:
+    """T_L of every word of L sites: the entry of the word without its
+    lowest set bit, plus the power of 3 of that bit's site."""
+    t = [0] * (1 << L)
+    for word in range(1, 1 << L):
+        low = word & -word
+        t[word] = t[word ^ low] + 3 ** (L - low.bit_length())
+    return t
+
+
+def _table(L: int, p: ModelParams) -> tuple[list[int], Fraction, int]:
+    """Path weights W_L, the unit with Qt_L = unit * W_L[number], and the
+    number of the level path, (3**L - 1) // 2; raises SingularParameter at
+    the poles of size L."""
+    scale = p.tilde_scale(L)
+    weights, den = _path_weights(L, p)
+    return weights, scale / den, (3 ** L - 1) // 2
+
+
+def _compare(report, hi, lo, coef, factor, rows, cols, inputs) -> None:
+    """Check hi(a) - coef * hi(b) == factor * lo(c) on every row and column.
+
+    hi and lo are _table results. Row i gives (a, b, c) and column j gives
+    (h, l), as differences T(tau) - T(xi): instance (i, j) reads hi at
+    a + h and b + h and lo at c + l. inputs(i, j) names a failing instance.
+    """
+    (wh, uh, oh), (wl, ul, ol) = hi, lo
+    cn, cd = coef.numerator, coef.denominator
+    ratio = factor * ul * cd / uh
+    kl, kr = ratio.denominator, ratio.numerator
+    for i, (ra, rb, rc) in enumerate(rows):
+        ra, rb, rc = ra + oh, rb + oh, rc + ol
+        bad = [
+            j
+            for j, (xh, xl) in enumerate(cols)
+            if kl * (cd * wh[ra + xh] - cn * wh[rb + xh]) != kr * wl[rc + xl]
+        ]
+        report.instances += len(cols)
+        for j in bad[: FAILURES_KEPT - len(report.failures)]:
+            xh, xl = cols[j]
+            lhs = uh * (wh[ra + xh] - coef * wh[rb + xh])
+            rhs = factor * ul * wl[rc + xl]
+            report.failures.append(Failure(inputs(i, j), lhs, rhs))
+
+
+def _boundary(report, L, p, prepend: bool, coef, factors) -> None:
+    """Qt(tau+ | xi') - coef Qt(tau- | xi') = factors[x'] Qt(tau | xi), where
+    a new site is added first (prepend) or last: xi' holds x' there, tau+
+    holds 0 first or 1 last, and tau- the other bit."""
+    hi, lo = _table(L + 1, p), _table(L, p)
+    t = _ternary(L)
+    occs = list(enumerate_occupations(L))
+    words = [o.word for o in occs]
+    # T(b u) = b * 3**L + T(u) and T(u b) = 3 * T(u) + b
+    shift, scale = (3 ** L, 1) if prepend else (1, 3)
+    plus = 0 if prepend else 1
+    rows = [
+        (scale * t[w] + plus * shift, scale * t[w] + (1 - plus) * shift, t[w])
+        for w in words
+    ]
+    for x in (0, 1):
+        cols = [(-scale * t[w] - x * shift, -t[w]) for w in words]
+        _compare(
+            report, hi, lo, coef, factors[x], rows, cols,
+            lambda i, j: {"tau": occs[i], "xi": occs[j], "xi_new": x},
+        )
+
+
 def check_left_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Prepending a site: Qt(0 tau | x' xi) - qA Qt(1 tau | x' xi) = A**x' Qt(tau | xi)."""
     report = VerificationReport("left-boundary", f"L={L}", p)
-    qa = p.q * p.A
-    for xi_new in (0, 1):
-        a_pow = p.A ** xi_new
-        for tau, xi in enumerate_pairs(L):
-            xi_ext = xi.prepend(xi_new)
-            lhs = tilde_q_weight(tau.prepend(0), xi_ext, p) - qa * tilde_q_weight(
-                tau.prepend(1), xi_ext, p
-            )
-            rhs = a_pow * tilde_q_weight(tau, xi, p)
-            report.check(lhs, rhs, {"tau": tau, "xi": xi, "xi_new": xi_new})
+    _boundary(report, L, p, True, p.q * p.A, (1, p.A))
     return report
 
 
 def check_right_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Appending a site: Qt(tau 1 | xi x') - qB Qt(tau 0 | xi x') = B**(1-x') Qt(tau | xi)."""
     report = VerificationReport("right-boundary", f"L={L}", p)
-    qb = p.q * p.B
-    for xi_new in (0, 1):
-        b_pow = p.B ** (1 - xi_new)
-        for tau, xi in enumerate_pairs(L):
-            xi_ext = xi.append(xi_new)
-            lhs = tilde_q_weight(tau.append(1), xi_ext, p) - qb * tilde_q_weight(
-                tau.append(0), xi_ext, p
-            )
-            rhs = b_pow * tilde_q_weight(tau, xi, p)
-            report.check(lhs, rhs, {"tau": tau, "xi": xi, "xi_new": xi_new})
+    _boundary(report, L, p, False, p.q * p.B, (p.B, 1))
     return report
 
 
 def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
     """Swapping an interior 10 to 01 against dropping one site."""
     report = VerificationReport("bulk", f"L1={L1},L2={L2}", p)
-    one_zero = Occupation.from_bits((1, 0))
-    zero_one = Occupation.from_bits((0, 1))
+    hi, lo = _table(L1 + L2 + 2, p), _table(L1 + L2 + 1, p)
+    t1, t2 = _ternary(L1), _ternary(L2)
+    pairs1 = list(enumerate_pairs(L1))
+    pairs2 = list(enumerate_pairs(L2))
+    d1 = [t1[tau.word] - t1[xi.word] for tau, xi in pairs1]
+    cols = [(d, d) for d in (t2[tau.word] - t2[xi.word] for tau, xi in pairs2)]
+    unit = 3 ** L2
     for xi_a in (0, 1):
         for xi_b in (0, 1):
-            mid2 = Occupation.from_bits((xi_a, xi_b))
-            mid1 = Occupation.from_bits((xi_a,))
-            keep = Occupation.from_bits((1 - xi_b,))
-            for tau1, xi1 in enumerate_pairs(L1):
-                for tau2, xi2 in enumerate_pairs(L2):
-                    xi_long = xi1.concat(mid2).concat(xi2)
-                    lhs = tilde_q_weight(
-                        tau1.concat(one_zero).concat(tau2), xi_long, p
-                    ) - p.q * tilde_q_weight(
-                        tau1.concat(zero_one).concat(tau2), xi_long, p
-                    )
-                    rhs = tilde_q_weight(
-                        tau1.concat(keep).concat(tau2),
-                        xi1.concat(mid1).concat(xi2),
-                        p,
-                    )
-                    report.check(
-                        lhs,
-                        rhs,
-                        {
-                            "tau1": tau1,
-                            "xi1": xi1,
-                            "tau2": tau2,
-                            "xi2": xi2,
-                            "xi_mid": f"{xi_a}{xi_b}",
-                        },
-                    )
+            # T(u m v) = T(u) * 3**(len(m) + L2) + T(m) * 3**L2 + T(v), with
+            # middle m: tau 10 (T = 3) or 01 (1) against xi_a xi_b (3 xi_a +
+            # xi_b) in the long pair, tau 1 - xi_b against xi_a in the short
+            mid = 3 * xi_a + xi_b
+            rows = [
+                (
+                    9 * unit * d + (3 - mid) * unit,
+                    9 * unit * d + (1 - mid) * unit,
+                    3 * unit * d + (1 - xi_b - xi_a) * unit,
+                )
+                for d in d1
+            ]
+            _compare(
+                report, hi, lo, p.q, 1, rows, cols,
+                lambda i, j: {
+                    "tau1": pairs1[i][0],
+                    "xi1": pairs1[i][1],
+                    "tau2": pairs2[j][0],
+                    "xi2": pairs2[j][1],
+                    "xi_mid": f"{xi_a}{xi_b}",
+                },
+            )
     return report
 
 

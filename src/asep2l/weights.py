@@ -19,8 +19,9 @@ The two-layer weight of a pair (tau, xi) with path gamma is
 
 a polynomial in A and B with nonnegative coefficients, well defined at
 A = 0 or B = 0. The rescaled weight multiplies Q by
-(AB;q)_2 / (AB;q)_(L+2) and is only defined away from the poles
-A*B = q**-k.
+(AB;q)_2 / (AB;q)_(L+2) = 1 / prod_(k=2..L+1) (1 - A*B*q**k), which the
+factors (1 - AB)(1 - ABq) cancel out of; it is only defined away from the
+poles A*B*q**k = 1 for k = 2..L+1.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .qcalc import (
     dq_z_scaled,
     pochhammer_polynomial,
     q_number,
-    q_pochhammer,
 )
 
 
@@ -179,21 +179,26 @@ class ModelParams:
         return None
 
     def tilde_scale(self, L: int) -> Fraction:
-        """(AB;q)_2 / (AB;q)_(L+2), refusing poles with SingularParameter."""
+        """(AB;q)_2 / (AB;q)_(L+2) in its cancelled form
+        1 / prod_(k=2..L+1) (1 - AB q**k), refusing the poles
+        AB q**k = 1 with SingularParameter."""
         return _tilde_scale(self.q, self.ab, L)
 
 
 @lru_cache(maxsize=None)
 def _tilde_scale(q: Fraction, ab: Fraction, L: int) -> Fraction:
     # lru_cache keeps no exception, so a pole raises on every call
-    power = Fraction(1)
-    for k in range(L + 2):
-        if ab * power == 1:
+    denom = Fraction(1)
+    power = q * q
+    for k in range(2, L + 2):
+        factor = 1 - ab * power
+        if factor == 0:
             raise SingularParameter(
-                f"A*B == q**-{k} makes the rescaled weight singular at L={L}"
+                f"A*B*q**{k} == 1 makes the rescaled weight singular at L={L}"
             )
+        denom *= factor
         power *= q
-    return q_pochhammer(ab, q, 2) / q_pochhammer(ab, q, L + 2)
+    return 1 / denom
 
 
 def shape_weight(

@@ -173,6 +173,14 @@ class TestVerify:
         payload = json.loads(out)
         assert {r["identity"] for r in payload["reports"]} == {"left-boundary"}
 
+    def test_passes_where_the_factors_cancel(self, capsys):
+        # AB = 1/q: (1 - AB q) cancels out of the rescaling
+        code, out = run(
+            capsys, "verify", "--L", "3", "--q", "1/2", "--A", "1", "--B", "2"
+        )
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_singular_exit(self, capsys):
         code, _ = run(
             capsys, "verify", "--identity", "basic", "--L", "2",

@@ -133,8 +133,6 @@ class TestPhiTable:
 
     def test_normalization_reproduces_mu(self):
         for p in GRID:
-            if p.A * p.B == 1:
-                continue
             for L in range(5):
                 try:
                     t = phi_table(L, p)
@@ -142,11 +140,28 @@ class TestPhiTable:
                     continue
                 assert t.normalized() == stationary_mu(L, p)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelParams(F(1, 2), F(1), F(2)),  # AB = 1/q
+            ModelParams(F(1, 3), F(1), F(1)),  # AB = 1
+            ModelParams(F(0), F(1), F(1)),  # AB = 1
+            ModelParams(F(1, 2), F(2), F(1, 2)),  # AB = 1
+        ],
+    )
+    def test_cancelled_factors_are_no_poles(self, p):
+        for L in range(7):
+            assert phi_table(L, p).normalized() == stationary_mu(L, p)
+
     def test_singular_parameters_refused(self):
         with pytest.raises(SingularParameter):
             phi_table(2, ModelParams(F(1, 2), F(4), F(1)))
-        with pytest.raises(SingularParameter):
-            phi_table(1, ModelParams(F(1, 3), F(1), F(1)))
+        # AB = 1 is no pole: Phi_1 = (1 - q**2)**-1 * (4/3 + 4/3) = 3 at q = 1/3
+        table = phi_table(1, ModelParams(F(1, 3), F(1), F(1)))
+        assert table.values == {
+            Occupation.from_string("0"): 3,
+            Occupation.from_string("1"): 3,
+        }
 
 
 class TestPathLaw:

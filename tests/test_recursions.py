@@ -1,12 +1,15 @@
 """Tests for the exhaustive identity checkers."""
 
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
+from test_acceptance import AB_GRID, Q_GRID
 
+from asep2l import weights
 from asep2l.errors import SingularParameter
 from asep2l.ensemble import phi_table, stationary_mu
-from asep2l.lattice import Occupation, enumerate_pairs
+from asep2l.lattice import LatticePath, Occupation, enumerate_pairs
 from asep2l.recursions import (
     FAILURES_KEPT,
     VerificationReport,
@@ -25,6 +28,127 @@ GRID = [
     ModelParams(F(1, 2), F(3), F(0)),
     ModelParams(F(1, 3), F(0), F(0)),
 ]
+ACCEPTANCE_GRID = [ModelParams(q, A, B) for q in Q_GRID for A, B in AB_GRID]
+SHOCK = ModelParams(F(1, 2), F(9), F(7))
+
+
+# The per-pair Fraction checkers that the path-table checkers replaced, kept
+# as the slow reference. weight(tau, xi) is the rescaled weight Qt.
+
+
+def reference_left_boundary(L, p, weight):
+    report = VerificationReport("left-boundary", f"L={L}", p)
+    qa = p.q * p.A
+    for xi_new in (0, 1):
+        a_pow = p.A ** xi_new
+        for tau, xi in enumerate_pairs(L):
+            xi_ext = xi.prepend(xi_new)
+            lhs = weight(tau.prepend(0), xi_ext) - qa * weight(tau.prepend(1), xi_ext)
+            rhs = a_pow * weight(tau, xi)
+            report.check(lhs, rhs, {"tau": tau, "xi": xi, "xi_new": xi_new})
+    return report
+
+
+def reference_right_boundary(L, p, weight):
+    report = VerificationReport("right-boundary", f"L={L}", p)
+    qb = p.q * p.B
+    for xi_new in (0, 1):
+        b_pow = p.B ** (1 - xi_new)
+        for tau, xi in enumerate_pairs(L):
+            xi_ext = xi.append(xi_new)
+            lhs = weight(tau.append(1), xi_ext) - qb * weight(tau.append(0), xi_ext)
+            rhs = b_pow * weight(tau, xi)
+            report.check(lhs, rhs, {"tau": tau, "xi": xi, "xi_new": xi_new})
+    return report
+
+
+def reference_bulk(L1, L2, p, weight):
+    report = VerificationReport("bulk", f"L1={L1},L2={L2}", p)
+    one_zero = Occupation.from_bits((1, 0))
+    zero_one = Occupation.from_bits((0, 1))
+    for xi_a in (0, 1):
+        for xi_b in (0, 1):
+            mid2 = Occupation.from_bits((xi_a, xi_b))
+            mid1 = Occupation.from_bits((xi_a,))
+            keep = Occupation.from_bits((1 - xi_b,))
+            for tau1, xi1 in enumerate_pairs(L1):
+                for tau2, xi2 in enumerate_pairs(L2):
+                    xi_long = xi1.concat(mid2).concat(xi2)
+                    lhs = weight(
+                        tau1.concat(one_zero).concat(tau2), xi_long
+                    ) - p.q * weight(tau1.concat(zero_one).concat(tau2), xi_long)
+                    rhs = weight(
+                        tau1.concat(keep).concat(tau2), xi1.concat(mid1).concat(xi2)
+                    )
+                    report.check(
+                        lhs,
+                        rhs,
+                        {
+                            "tau1": tau1,
+                            "xi1": xi1,
+                            "tau2": tau2,
+                            "xi2": xi2,
+                            "xi_mid": f"{xi_a}{xi_b}",
+                        },
+                    )
+    return report
+
+
+def both_routes(p, max_L=5, max_bulk=4):
+    """(path-table report, reference report) dicts for every boundary size
+    up to max_L and every bulk split with L1 + L2 <= max_bulk."""
+    # each pair's weight is computed once per point, by tilde_q_weight
+    weight = cache(lambda tau, xi: tilde_q_weight(tau, xi, p))
+    cases = [
+        (check, reference, (L,))
+        for L in range(max_L + 1)
+        for check, reference in (
+            (check_left_boundary, reference_left_boundary),
+            (check_right_boundary, reference_right_boundary),
+        )
+    ] + [
+        (check_bulk, reference_bulk, (L1, L2))
+        for L1 in range(max_bulk + 1)
+        for L2 in range(max_bulk + 1 - L1)
+    ]
+    return [
+        (check(*sizes, p).to_dict(), reference(*sizes, p, weight).to_dict())
+        for check, reference, sizes in cases
+    ]
+
+
+class TestPathTableRoute:
+    @pytest.mark.parametrize("p", GRID + ACCEPTANCE_GRID + [SHOCK])
+    def test_reports_equal_the_fraction_reference(self, p):
+        for fast, slow in both_routes(p):
+            assert fast == slow
+
+    def test_perturbed_weight_fails_both_routes_alike(self, monkeypatch):
+        real = weights._w_value
+
+        def perturbed(sigma, q, z):
+            return real(sigma, q, z) + (sigma == (2, 1))
+
+        monkeypatch.setattr(weights, "_w_value", perturbed)
+        failing = capped = 0
+        for p in (GRID[1], GRID[2], SHOCK):
+            for fast, slow in both_routes(p, max_L=4, max_bulk=3):
+                assert fast == slow
+                failing += not fast["passed"]
+                capped += len(fast["failures"]) == FAILURES_KEPT
+        # composition (2, 1) is read at sizes 2 and 3; some reports keep
+        # only the first FAILURES_KEPT of their failures
+        assert failing > 0 and capped > 0
+
+    def test_no_lattice_path_is_built(self, monkeypatch):
+        def refuse(self, values):
+            raise AssertionError("LatticePath built on the path-table route")
+
+        monkeypatch.setattr(LatticePath, "__init__", refuse)
+        p = ModelParams(F(1, 3), F(1), F(2))
+        assert check_left_boundary(4, p).passed
+        assert check_right_boundary(4, p).passed
+        assert check_bulk(1, 2, p).passed
 
 
 class TestBoundaryIdentities:

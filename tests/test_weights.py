@@ -151,9 +151,10 @@ class TestModelParams:
         assert ok.tilde_scale(1) == 1 / (1 - 3 * F(1, 4))
         # same A*B, another q: another scale
         assert ModelParams(F(1, 4), F(3), F(1)).tilde_scale(1) == 1 / (1 - 3 * F(1, 16))
-        sing_ab1 = ModelParams(F(1, 3), F(1), F(1))
-        with pytest.raises(SingularParameter):
-            sing_ab1.tilde_scale(0)
+        # AB = 1 is no pole: (1 - AB)(1 - ABq) cancels out of the ratio
+        ab1 = ModelParams(F(1, 3), F(1), F(1))
+        assert ab1.tilde_scale(0) == 1
+        assert ab1.tilde_scale(2) == 1 / ((1 - F(1, 9)) * (1 - F(1, 27)))
 
 
 class TestTwoLayerWeight:
@@ -169,7 +170,7 @@ class TestTwoLayerWeight:
 
     @pytest.mark.parametrize("p", PARAM_POINTS)
     def test_size_one_rescaled_table(self, p):
-        if p.ab * p.q ** 2 == 1 or p.ab == 1 or (p.q > 0 and p.ab == 1 / p.q):
+        if p.ab * p.q ** 2 == 1:
             pytest.skip("pole")
         o = [Occupation.from_string("0"), Occupation.from_string("1")]
         denom = 1 - p.ab * p.q ** 2
