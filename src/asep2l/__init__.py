@@ -6,7 +6,12 @@ A and B) is realized here as the top-layer marginal of an exactly
 normalized two-layer ensemble. Everything except the stochastic simulator
 runs in exact rational arithmetic, so identities are checked with equality
 rather than tolerances.
+
+The identity checkers, the sampler and the oracle are imported on first
+use of one of their names, so a command loads only the modules it runs.
 """
+
+from importlib import import_module
 
 from .errors import (
     AsepError,
@@ -60,35 +65,33 @@ from .ensemble import (
     top_marginal,
     two_layer_law,
 )
-from .recursions import (
-    VerificationReport,
-    check_basic_weight_equations,
-    check_bulk,
-    check_left_boundary,
-    check_right_boundary,
-)
-from .sampler import SampleBatch, empirical_compare, sample_two_layer
 
 __version__ = "0.1.0"
 
-# The oracle needs numpy, which costs most of the package's import time;
-# its names are resolved on first use, so commands that never solve the
-# generator do not load it.
-_ORACLE_NAMES = frozenset(
-    {
-        "GeneratorMatrix",
-        "Rates",
-        "build_generator",
-        "gillespie_simulate",
-        "rates_from_params",
-        "stationary_exact",
-    }
-)
+# Public names of the modules a short request may not need, each mapped to
+# its module and resolved on first use: the identity checkers, the sampler
+# and the oracle, which imports numpy (most of the package's import time).
+# `mu` then loads none of them.
+_LAZY = {
+    "VerificationReport": "recursions",
+    "check_basic_weight_equations": "recursions",
+    "check_bulk": "recursions",
+    "check_left_boundary": "recursions",
+    "check_right_boundary": "recursions",
+    "SampleBatch": "sampler",
+    "empirical_compare": "sampler",
+    "sample_two_layer": "sampler",
+    "GeneratorMatrix": "oracle",
+    "Rates": "oracle",
+    "build_generator": "oracle",
+    "gillespie_simulate": "oracle",
+    "rates_from_params": "oracle",
+    "stationary_exact": "oracle",
+}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

@@ -4,17 +4,21 @@ Subcommands: mu, wsigma, qweight, partition, verify, oracle, sample,
 compare. All rational inputs and outputs use the "p" or "p/q" text form;
 no floats cross the boundary except the simulator's frequencies. Exit
 codes: 0 success (or verification pass), 1 verification failure, 2 usage
-error, 3 singular parameters.
+error, 3 singular parameters, 141 (128 + SIGPIPE) output pipe closed by
+its reader, as in `asep2l sample ... | head -1`.
+
+Each subcommand imports only the modules it runs: the identity checkers,
+the sampler and the oracle are loaded by the commands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from fractions import Fraction
 
-from . import ensemble, recursions, sampler
+from . import ensemble
 from .errors import EnumerationCapExceeded, SingularParameter
 from .lattice import Occupation, admit
 from .rational import format_rational, parse_rational
@@ -24,6 +28,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _params(args) -> ModelParams:
@@ -41,6 +46,9 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        # a reader that closed the pipe fails this flush, inside main's
+        # handler, rather than the one at interpreter exit
+        sys.stdout.flush()
 
 
 def _header(L: int, p: ModelParams) -> dict:
@@ -104,22 +112,12 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import recursions
+
     admit("verify", args.L, args.max_L)
     p = _params(args)
-    reports = []
     which = args.identity
-    if which in ("left", "all"):
-        for ell in range(args.L + 1):
-            reports.append(recursions.check_left_boundary(ell, p))
-    if which in ("right", "all"):
-        for ell in range(args.L + 1):
-            reports.append(recursions.check_right_boundary(ell, p))
-    if which in ("bulk", "all"):
-        for n1 in range(max(args.L - 1, 0)):
-            for n2 in range(max(args.L - 1 - n1, 0)):
-                reports.append(recursions.check_bulk(n1, n2, p))
-    if which in ("basic", "all"):
-        reports.append(recursions.check_basic_weight_equations(args.L, p))
+    reports = recursions._verify(args.L, p, which)
     passed = all(r.passed for r in reports)
     payload = {
         "identity": which,
@@ -162,6 +160,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import sampler
+
     p = _params(args)
     batch = sampler.sample_two_layer(
         args.L, p, args.n, seed=args.seed, route=args.route, max_L=args.max_L
@@ -277,6 +277,12 @@ def main(argv=None) -> int:
     except (ValueError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull, so that the
+        # flush at exit writes nothing and raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ All arithmetic is exact; no floats enter this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -34,7 +33,8 @@ from .lattice import (
     is_motzkin,
     path_of,
 )
-from .weights import ModelParams, _extend, q_weight, shape_weight
+from .record import Record
+from .weights import ModelParams, _extend, _key_weights, q_weight
 
 
 class Distribution:
@@ -155,9 +155,9 @@ def _path_weights(L: int, p: ModelParams) -> tuple[list[int], int]:
         ]
         ids = [child for i in ids for child in moves[i]]
         keys = list(index)
-    weights = [shape_weight(sigma, start, end, p) for sigma, start, end in keys]
-    den = lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (den // w.denominator) for w in weights]
+    weights = list(_key_weights(keys, p))
+    den = lcm(*(d for _, d in weights))
+    scaled = [n * (den // d) for n, d in weights]
     return [scaled[i] for i in ids], den
 
 
@@ -196,13 +196,13 @@ def stationary_mu(L: int, p: ModelParams, max_L: int | None = None) -> Distribut
     return occupation_law(L, _mu_table(L, p)[0])
 
 
-@dataclass(frozen=True)
-class PhiTable:
+class PhiTable(Record, frozen=True):
     """Basic weights: bottom-layer sums of the rescaled two-layer weight."""
 
-    L: int
-    params: ModelParams
-    values: dict
+    __slots__ = ("L", "params", "values")
+
+    def __init__(self, L: int, params: ModelParams, values: dict):
+        self._init(L, params, values)
 
     def value(self, tau: Occupation) -> Fraction:
         return self.values[tau]
@@ -217,14 +217,16 @@ class PhiTable:
 def phi_table(L: int, p: ModelParams, max_L: int | None = None) -> PhiTable:
     """Exact basic-weight table; raises SingularParameter at poles."""
     admit("marginal", L, max_L)
-    return _phi_table(L, p)
-
-
-def _phi_table(L: int, p: ModelParams) -> PhiTable:
     scale = p.tilde_scale(L)
-    table, den = _mu_table(L, p)
-    unit = scale / den
-    values = {occ: unit * table[occ.word] for occ in enumerate_occupations(L)}
+    weights, den = _path_weights(L, p)
+    return _phi_table(L, p, weights, scale / den)
+
+
+def _phi_table(L: int, p: ModelParams, weights: list[int], unit: Fraction) -> PhiTable:
+    """The table from the path weights of size L (_path_weights) and the
+    unit tilde_scale(L) / den they are counted in."""
+    masses = _spread(weights, L)
+    values = {occ: unit * m for occ, m in zip(enumerate_occupations(L), masses)}
     return PhiTable(L, p, values)
 
 

@@ -15,10 +15,10 @@ calls admit once, at entry, with its row of MAX_L.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapExceeded
+from .record import Record
 
 # Largest admitted L per kind of work. The README lists the operations of
 # each row and the measured cost at its default.
@@ -53,18 +53,28 @@ def admit(kind: str, L: int, max_L: int | None = None) -> None:
         raise EnumerationCapExceeded(f"L={L} exceeds the {kind} cap {cap}")
 
 
-@dataclass(frozen=True)
-class Occupation:
+class Occupation(Record, frozen=True):
     """Bit-packed 0/1 sequence; bit j-1 of word is site j."""
 
-    length: int
-    word: int
+    __slots__ = ("length", "word")
 
-    def __post_init__(self):
-        if self.length < 0:
+    def __init__(self, length: int, word: int):
+        if length < 0:
             raise ValueError("length must be nonnegative")
-        if not 0 <= self.word < (1 << self.length if self.length else 1):
+        if not 0 <= word < (1 << length if length else 1):
             raise ValueError("word out of range for length")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "word", word)
+
+    # occupations key every table, so equality and hash are spelled out
+    # rather than read through Record's field getter
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word and self.length == other.length
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.word))
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "Occupation":

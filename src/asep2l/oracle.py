@@ -30,7 +30,6 @@ the package.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -39,23 +38,18 @@ import numpy as np
 from .errors import SingularSystem
 from .ensemble import Distribution, occupation_law
 from .lattice import Occupation, admit
+from .record import Record
 from .weights import ModelParams
 
 
-@dataclass(frozen=True)
-class Rates:
+class Rates(Record, frozen=True):
     """Exact transition rates of the open exclusion process."""
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-    q: Fraction
+    __slots__ = ("alpha", "beta", "gamma", "delta", "q")
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "q"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if any(getattr(self, n) < 0 for n in ("alpha", "beta", "gamma", "delta", "q")):
+    def __init__(self, alpha, beta, gamma, delta, q):
+        self._init(*map(Fraction, (alpha, beta, gamma, delta, q)))
+        if any(rate < 0 for rate in self._fields(self)):
             raise ValueError("rates must be nonnegative")
 
 
@@ -509,16 +503,23 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
 # stochastic simulation (floating point, quarantined here)
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(Record):
     """Time-averaged occupation frequencies from an event-driven run."""
 
-    L: int
-    observed_time: float
-    steps: int
-    site_density: tuple[float, ...]
-    config_freq: dict | None
-    insufficient: bool
+    __slots__ = (
+        "L", "observed_time", "steps", "site_density", "config_freq", "insufficient"
+    )
+
+    def __init__(
+        self,
+        L: int,
+        observed_time: float,
+        steps: int,
+        site_density: tuple[float, ...],
+        config_freq: dict | None,
+        insufficient: bool,
+    ):
+        self._init(L, observed_time, steps, site_density, config_freq, insufficient)
 
 
 def gillespie_simulate(

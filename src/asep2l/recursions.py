@@ -20,25 +20,30 @@ from those of the short ones. Each identity's rational constants are put
 over one denominator once, so an instance is one integer comparison,
 kl * (cd * W_hi[a] - cn * W_hi[b]) == kr * W_lo[c]; the exact Fraction
 sides are built only for a failure that is kept.
+
+A table is built once per size and verification run: each public checker
+is a run of its own, and _verify, the run of the `verify` command, keeps
+the tables of every size it reads (the basic weight equations' included)
+in a dict of its own that is dropped when it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ensemble import _path_weights, _phi_table
 from .lattice import Occupation, enumerate_occupations, enumerate_pairs
+from .record import Record
 from .weights import ModelParams
 
 FAILURES_KEPT = 10
 
 
-@dataclass
-class Failure:
-    inputs: dict
-    lhs: Fraction
-    rhs: Fraction
+class Failure(Record):
+    __slots__ = ("inputs", "lhs", "rhs")
+
+    def __init__(self, inputs: dict, lhs: Fraction, rhs: Fraction):
+        self._init(inputs, lhs, rhs)
 
     def to_dict(self) -> dict:
         return {
@@ -48,13 +53,20 @@ class Failure:
         }
 
 
-@dataclass
-class VerificationReport:
-    identity: str
-    sizes: str
-    params: ModelParams
-    instances: int = 0
-    failures: list = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = ("identity", "sizes", "params", "instances", "failures")
+
+    def __init__(
+        self,
+        identity: str,
+        sizes: str,
+        params: ModelParams,
+        instances: int = 0,
+        failures: list | None = None,
+    ):
+        if failures is None:
+            failures = []
+        self._init(identity, sizes, params, instances, failures)
 
     @property
     def passed(self) -> bool:
@@ -88,13 +100,16 @@ def _ternary(L: int) -> list[int]:
     return t
 
 
-def _table(L: int, p: ModelParams) -> tuple[list[int], Fraction, int]:
+def _table(L: int, p: ModelParams, tables: dict) -> tuple[list[int], Fraction, int]:
     """Path weights W_L, the unit with Qt_L = unit * W_L[number], and the
-    number of the level path, (3**L - 1) // 2; raises SingularParameter at
-    the poles of size L."""
-    scale = p.tilde_scale(L)
-    weights, den = _path_weights(L, p)
-    return weights, scale / den, (3 ** L - 1) // 2
+    number of the level path, (3**L - 1) // 2, kept in tables, the dict of
+    one verification run; raises SingularParameter at the poles of size L."""
+    table = tables.get(L)
+    if table is None:
+        scale = p.tilde_scale(L)
+        weights, den = _path_weights(L, p)
+        table = tables[L] = weights, scale / den, (3 ** L - 1) // 2
+    return table
 
 
 def _compare(report, hi, lo, coef, factor, rows, cols, inputs) -> None:
@@ -123,11 +138,11 @@ def _compare(report, hi, lo, coef, factor, rows, cols, inputs) -> None:
             report.failures.append(Failure(inputs(i, j), lhs, rhs))
 
 
-def _boundary(report, L, p, prepend: bool, coef, factors) -> None:
+def _boundary(report, L, p, prepend: bool, coef, factors, tables) -> None:
     """Qt(tau+ | xi') - coef Qt(tau- | xi') = factors[x'] Qt(tau | xi), where
     a new site is added first (prepend) or last: xi' holds x' there, tau+
     holds 0 first or 1 last, and tau- the other bit."""
-    hi, lo = _table(L + 1, p), _table(L, p)
+    hi, lo = _table(L + 1, p, tables), _table(L, p, tables)
     t = _ternary(L)
     occs = list(enumerate_occupations(L))
     words = [o.word for o in occs]
@@ -148,22 +163,34 @@ def _boundary(report, L, p, prepend: bool, coef, factors) -> None:
 
 def check_left_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Prepending a site: Qt(0 tau | x' xi) - qA Qt(1 tau | x' xi) = A**x' Qt(tau | xi)."""
+    return _left_boundary(L, p, {})
+
+
+def _left_boundary(L: int, p: ModelParams, tables: dict) -> VerificationReport:
     report = VerificationReport("left-boundary", f"L={L}", p)
-    _boundary(report, L, p, True, p.q * p.A, (1, p.A))
+    _boundary(report, L, p, True, p.q * p.A, (1, p.A), tables)
     return report
 
 
 def check_right_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Appending a site: Qt(tau 1 | xi x') - qB Qt(tau 0 | xi x') = B**(1-x') Qt(tau | xi)."""
+    return _right_boundary(L, p, {})
+
+
+def _right_boundary(L: int, p: ModelParams, tables: dict) -> VerificationReport:
     report = VerificationReport("right-boundary", f"L={L}", p)
-    _boundary(report, L, p, False, p.q * p.B, (p.B, 1))
+    _boundary(report, L, p, False, p.q * p.B, (p.B, 1), tables)
     return report
 
 
 def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
     """Swapping an interior 10 to 01 against dropping one site."""
+    return _bulk(L1, L2, p, {})
+
+
+def _bulk(L1: int, L2: int, p: ModelParams, tables: dict) -> VerificationReport:
     report = VerificationReport("bulk", f"L1={L1},L2={L2}", p)
-    hi, lo = _table(L1 + L2 + 2, p), _table(L1 + L2 + 1, p)
+    hi, lo = _table(L1 + L2 + 2, p, tables), _table(L1 + L2 + 1, p, tables)
     t1, t2 = _ternary(L1), _ternary(L2)
     pairs1 = list(enumerate_pairs(L1))
     pairs2 = list(enumerate_pairs(L2))
@@ -199,8 +226,14 @@ def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
 
 def check_basic_weight_equations(L: int, p: ModelParams) -> VerificationReport:
     """The four equations for Phi, over all sizes up to L."""
+    return _basic_weight_equations(L, p, {})
+
+
+def _basic_weight_equations(L: int, p: ModelParams, tables: dict) -> VerificationReport:
     report = VerificationReport("basic-weight-equations", f"L<={L}", p)
-    phis = [_phi_table(ell, p).values for ell in range(L + 1)]
+    phis = [
+        _phi_table(ell, p, *_table(ell, p, tables)[:2]).values for ell in range(L + 1)
+    ]
     empty = Occupation(0, 0)
     report.check(phis[0][empty], Fraction(1), {"equation": "initial"})
     qa = p.q * p.A
@@ -236,3 +269,23 @@ def check_basic_weight_equations(L: int, p: ModelParams) -> VerificationReport:
                         lhs, rhs, {"equation": "bulk", "tau1": tau1, "tau2": tau2}
                     )
     return report
+
+
+def _verify(L: int, p: ModelParams, which: str) -> list[VerificationReport]:
+    """The reports of one `verify` run over sizes up to L, in its order;
+    which is "left", "right", "bulk", "basic" or "all"."""
+    tables: dict = {}
+    reports = []
+    if which in ("left", "all"):
+        reports += [_left_boundary(ell, p, tables) for ell in range(L + 1)]
+    if which in ("right", "all"):
+        reports += [_right_boundary(ell, p, tables) for ell in range(L + 1)]
+    if which in ("bulk", "all"):
+        reports += [
+            _bulk(n1, n2, p, tables)
+            for n1 in range(max(L - 1, 0))
+            for n2 in range(max(L - 1 - n1, 0))
+        ]
+    if which in ("basic", "all"):
+        reports.append(_basic_weight_equations(L, p, tables))
+    return reports

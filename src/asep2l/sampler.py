@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -28,6 +27,7 @@ from typing import Callable, Iterable
 
 from .ensemble import Distribution, _path_weights, two_layer_law
 from .lattice import Occupation, admit
+from .record import Record
 from .weights import ModelParams
 
 _UNIFORM_BITS = 128
@@ -37,15 +37,13 @@ _UNIFORM_BITS = 128
 MAX_DRAWS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SampleBatch:
+class SampleBatch(Record, frozen=True):
     """Reproducible draws of (tau, xi) pairs."""
 
-    L: int
-    params: ModelParams
-    seed: int
-    route: str
-    draws: tuple
+    __slots__ = ("L", "params", "seed", "route", "draws")
+
+    def __init__(self, L: int, params: ModelParams, seed: int, route: str, draws: tuple):
+        self._init(L, params, seed, route, draws)
 
     @property
     def count(self) -> int:
@@ -129,12 +127,13 @@ def sample_two_layer(
     return SampleBatch(L=L, params=p, seed=seed, route=route, draws=tuple(draws))
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(Record, frozen=True):
     """Per-state normal z-scores of empirical frequencies vs exact values."""
 
-    n: int
-    z_scores: dict
+    __slots__ = ("n", "z_scores")
+
+    def __init__(self, n: int, z_scores: dict):
+        self._init(n, z_scores)
 
     @property
     def max_abs_z(self) -> float:

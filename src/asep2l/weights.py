@@ -22,13 +22,21 @@ A = 0 or B = 0. The rescaled weight multiplies Q by
 (AB;q)_2 / (AB;q)_(L+2) = 1 / prod_(k=2..L+1) (1 - A*B*q**k), which the
 factors (1 - AB)(1 - ABq) cancel out of; it is only defined away from the
 poles A*B*q**k = 1 for k = 2..L+1.
+
+The weight depends on the path only through its key (composition, start
+height, end height), and _key_weights weighs keys on integers: with
+A = a/a', B = b/b' and w(AB) = W/D in lowest terms, a key weighs
+b**end a**start W over b'**end a'**start D, reduced by one gcd.
+shape_weight is the Fraction view of this formula; the path table of the
+marginal puts its integers over the lcm of their denominators, and
+partition_Z sums them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import SingularParameter
 from .lattice import (
@@ -46,6 +54,7 @@ from .qcalc import (
     pochhammer_polynomial,
     q_number,
 )
+from .record import Record
 
 
 def _validate_composition(sigma) -> tuple[int, ...]:
@@ -56,9 +65,9 @@ def _validate_composition(sigma) -> tuple[int, ...]:
 
 
 # Integer numerators and the power of den(q) under them, of the element
-# reached from 1/(1-z) by applying a suffix of the parts, keyed by
-# (q, suffix); every shorter suffix of a key is a key too
-_suffix_elements: dict[tuple[Fraction, tuple[int, ...]], tuple[list[int], int]] = {}
+# reached from 1/(1-z) by applying a suffix of the parts: one dict per q,
+# keyed by suffix; every shorter suffix of a key is a key too
+_suffix_elements: dict[Fraction, dict[tuple[int, ...], tuple[list[int], int]]] = {}
 
 
 def _w_scaled(parts: tuple[int, ...], q: Fraction) -> tuple[list[int], int]:
@@ -67,11 +76,12 @@ def _w_scaled(parts: tuple[int, ...], q: Fraction) -> tuple[list[int], int]:
     Parts are applied right to left, so the walk starts from the element
     of the longest suffix already computed and memoizes each new one.
     """
+    memo = _suffix_elements.setdefault(q, {})
     start = len(parts)
-    while start > 0 and (q, parts[start - 1 :]) in _suffix_elements:
+    while start > 0 and parts[start - 1 :] in memo:
         start -= 1
     if start < len(parts):
-        nums, shift = _suffix_elements[(q, parts[start:])]
+        nums, shift = memo[parts[start:]]
     else:
         nums, shift = [1], 0  # 1/(1-z) = 1/(z;q)_1
     depth = sum(parts[start:]) + 1
@@ -81,7 +91,7 @@ def _w_scaled(parts: tuple[int, ...], q: Fraction) -> tuple[list[int], int]:
             nums = action(nums, depth, q)
             shift += depth - 1
             depth += 1
-        _suffix_elements[(q, parts[i:])] = (nums, shift)
+        memo[parts[i:]] = (nums, shift)
     assert depth == sum(parts) + 1
     return nums, shift
 
@@ -139,18 +149,13 @@ def _w_value(sigma: tuple[int, ...], q: Fraction, z: Fraction) -> Fraction:
     return Fraction(acc, q.denominator ** shift * v ** (len(nums) - 1))
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record, frozen=True):
     """Exact model parameters: 0 <= q < 1 and boundary strengths A, B >= 0."""
 
-    q: Fraction
-    A: Fraction
-    B: Fraction
+    __slots__ = ("q", "A", "B")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
+    def __init__(self, q: Rational, A: Rational, B: Rational):
+        self._init(Fraction(q), Fraction(A), Fraction(B))
         if not 0 <= self.q < 1:
             raise ValueError(f"q must satisfy 0 <= q < 1, got {self.q}")
         if self.A < 0 or self.B < 0:
@@ -201,14 +206,34 @@ def _tilde_scale(q: Fraction, ab: Fraction, L: int) -> Fraction:
     return 1 / denom
 
 
+def _key_weights(keys, p: ModelParams):
+    """Weights B**end A**start w_sigma(AB) of the keys (sigma, start, end),
+    yielded as (numerator, denominator) pairs of integers in lowest terms.
+
+    With A = a/a', B = b/b' and w_sigma(AB) = W/D in lowest terms, a key
+    weighs b**end a**start W / (b'**end a'**start D). w_sigma(AB) is read
+    once per distinct sigma.
+    """
+    a, a_den = p.A.numerator, p.A.denominator
+    b, b_den = p.B.numerator, p.B.denominator
+    values: dict = {}
+    for sigma, start, end in keys:
+        w = values.get(sigma)
+        if w is None:
+            w = values[sigma] = _w_value(sigma, p.q, p.ab)
+        num = b ** end * a ** start * w.numerator
+        den = b_den ** end * a_den ** start * w.denominator
+        g = gcd(num, den)
+        yield num // g, den // g
+
+
 def shape_weight(
     sigma: tuple[int, ...], start_height: int, end_height: int, p: ModelParams
 ) -> Fraction:
     """B**end_height A**start_height w_sigma(AB): the weight of every path
     with composition sigma that starts start_height and ends end_height
     above its minimum."""
-    w = _w_value(sigma, p.q, p.ab)
-    return p.B ** end_height * p.A ** start_height * w
+    return Fraction(*next(_key_weights([(sigma, start_height, end_height)], p)))
 
 
 def path_weight(gamma: LatticePath, p: ModelParams) -> Fraction:
@@ -261,10 +286,12 @@ def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
                 child = _extend(key, step)
                 grown[child] = grown.get(child, 0) + factor * m
         mult = grown
-    return sum(
-        (m * shape_weight(sigma, start, end, p) for (sigma, start, end), m in mult.items()),
-        Fraction(0),
-    )
+    # summed per denominator: few are distinct, and no list of 3**L-ish
+    # integers over a common one is held
+    by_den: dict[int, int] = {}
+    for m, (num, den) in zip(mult.values(), _key_weights(mult, p)):
+        by_den[den] = by_den.get(den, 0) + m * num
+    return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
 
 
 def clear_weight_caches() -> None:

@@ -311,11 +311,87 @@ OPERATIONS = {
 }
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_numpy_is_not_imported_by_the_cli():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     check = "import asep2l.cli, sys; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", check], env=env, check=True)
+    subprocess.run([sys.executable, "-c", check], env=SRC_ENV, check=True)
+
+
+# Modules each subcommand must not load, beside numpy and dataclasses
+UNUSED_MODULES = {
+    ("mu", "--L", "2"): {"asep2l.recursions", "asep2l.sampler", "asep2l.oracle"},
+    ("verify", "--L", "2"): {"asep2l.sampler", "asep2l.oracle"},
+    ("sample", "--L", "2", "--n", "3"): {"asep2l.recursions", "asep2l.oracle"},
+}
+
+
+@pytest.mark.parametrize("argv", list(UNUSED_MODULES), ids=lambda argv: argv[0])
+def test_subcommand_loads_only_its_modules(argv):
+    unused = sorted(UNUSED_MODULES[argv] | {"numpy", "dataclasses"})
+    script = (
+        "import sys\n"
+        "from asep2l.cli import main\n"
+        f"assert main({[*argv, *P_ARGS, '--out', os.devnull]!r}) == 0\n"
+        f"print(sorted(set({unused!r}) & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=SRC_ENV, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_lazy_names_resolve_after_a_bare_import():
+    check = (
+        "import asep2l, sys\n"
+        "assert not {'asep2l.recursions', 'asep2l.sampler', 'asep2l.oracle'} & set(sys.modules)\n"
+        "assert asep2l.check_bulk.__module__ == 'asep2l.recursions'\n"
+        "assert asep2l.sample_two_layer.__module__ == 'asep2l.sampler'\n"
+        "assert asep2l.stationary_exact.__module__ == 'asep2l.oracle'\n"
+        "assert all(hasattr(asep2l, name) for name in asep2l._LAZY)\n"
+        "assert not hasattr(asep2l, 'no_such_name')\n"
+    )
+    subprocess.run([sys.executable, "-c", check], env=SRC_ENV, check=True)
+
+
+def test_closed_output_pipe_exits_quietly():
+    # 20000 lines are far more than a pipe buffers, so the writer is still
+    # writing when the reader goes away
+    argv = ["sample", "--L", "6", "--n", "20000", *P_ARGS]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "asep2l.cli", *argv],
+        env=SRC_ENV,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"tau,xi\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+
+
+def test_verify_builds_each_path_table_once(monkeypatch, capsys):
+    from asep2l import ensemble, recursions
+
+    sizes = []
+    real = ensemble._path_weights
+
+    def counted(L, p):
+        sizes.append(L)
+        return real(L, p)
+
+    monkeypatch.setattr(ensemble, "_path_weights", counted)
+    monkeypatch.setattr(recursions, "_path_weights", counted)
+    assert main(["verify", "--L", "4", *P_ARGS]) == 0
+    # the boundary checks at L = 4 read size 5
+    assert sorted(sizes) == list(range(6))
 
 
 class TestAdmission:

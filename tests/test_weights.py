@@ -1,12 +1,22 @@
 """Tests for composition polynomials and the two-layer weight."""
 
 from fractions import Fraction as F
+from functools import cache
 from itertools import product
+from math import lcm
 
 import pytest
+from test_acceptance import AB_GRID, Q_GRID
 
+from asep2l.ensemble import _path_weights
 from asep2l.errors import SingularParameter
-from asep2l.lattice import Occupation, enumerate_occupations, enumerate_paths, path_of
+from asep2l.lattice import (
+    Occupation,
+    composition_of,
+    enumerate_occupations,
+    enumerate_paths,
+    path_of,
+)
 from asep2l.qcalc import QPolynomial, poly_eval, q_factorial, q_number
 from asep2l.weights import (
     ModelParams,
@@ -280,3 +290,37 @@ class TestPartitionFunction:
         for p in PARAM_POINTS:
             for L in range(4):
                 assert partition_Z(L, p) > 0
+
+
+ACCEPTANCE_GRID = [ModelParams(q, A, B) for q in Q_GRID for A, B in AB_GRID]
+
+
+@cache
+def _w_at(sigma, q, z):
+    return poly_eval(w_sigma_operator(sigma, q), z)
+
+
+def fraction_weight(gamma, p):
+    """The slow reference: B**(end - min) A**(-min) w_sigma(AB) as a
+    product of Fractions, w_sigma from the operator route by Horner."""
+    w = _w_at(composition_of(gamma), p.q, p.A * p.B)
+    return p.B ** (gamma.end - gamma.minimum) * p.A ** (-gamma.minimum) * w
+
+
+class TestIntegerKeyWeights:
+    @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
+    def test_path_table_equals_fraction_products(self, p):
+        for L in range(8):
+            weights, den = _path_weights(L, p)
+            slow = [fraction_weight(g, p) for g in enumerate_paths(L)]
+            assert [F(w, den) for w in weights] == slow
+            assert den == lcm(*(w.denominator for w in slow))
+
+    @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
+    def test_partition_equals_fraction_sum(self, p):
+        for L in range(7):
+            slow = sum(
+                (fraction_weight(g, p) * 2 ** g.horizontal for g in enumerate_paths(L)),
+                F(0),
+            )
+            assert partition_Z(L, p) == slow
