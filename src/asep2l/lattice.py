@@ -63,18 +63,7 @@ class Occupation(Record, frozen=True):
             raise ValueError("length must be nonnegative")
         if not 0 <= word < (1 << length if length else 1):
             raise ValueError("word out of range for length")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "word", word)
-
-    # occupations key every table, so equality and hash are spelled out
-    # rather than read through Record's field getter
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.word == other.word and self.length == other.length
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.word))
+        self._init(length, word)
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "Occupation":

@@ -23,8 +23,7 @@ class Record:
     """Base of a record whose fields are its __slots__, in order.
 
     Declare a subclass with frozen=True to make its instances hashable
-    (unless it defines __hash__ itself) and immutable once __init__ has
-    run. Every subclass's constructor takes its fields positionally in
+    by their fields and immutable once __init__ has run. Every subclass's constructor takes its fields positionally in
     __slots__ order, which pickling relies on.
     """
 
@@ -35,8 +34,7 @@ class Record:
         cls._fields = attrgetter(*cls.__slots__)
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse
-            if cls.__dict__.get("__hash__") is None:
-                cls.__hash__ = _hash
+            cls.__hash__ = _hash
 
     def _init(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
