@@ -163,9 +163,7 @@ def _cmd_sample(args) -> int:
     from . import sampler
 
     p = _params(args)
-    batch = sampler.sample_two_layer(
-        args.L, p, args.n, seed=args.seed, route=args.route, max_L=args.max_L
-    )
+    batch = sampler.sample_two_layer(args.L, p, args.n, seed=args.seed, max_L=args.max_L)
     # draws repeat the 2**L words, so each is formatted once
     names = [str(Occupation(args.L, word)) for word in range(1 << args.L)]
     lines = ["tau,xi"]
@@ -253,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--route", choices=("path", "pair"), default="path")
     sp.set_defaults(func=_cmd_sample)
 
     sp = sub.add_parser("compare", help="stationary marginal vs oracle")

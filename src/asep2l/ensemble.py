@@ -93,31 +93,24 @@ class Distribution:
         return f"Distribution(n={len(self)})"
 
 
-def _normalized(weighted: Iterable[tuple[object, Fraction]]) -> Distribution:
-    """Law over the given states, proportional to their weights."""
-    states = []
-    weights = []
-    for state, w in weighted:
-        states.append(state)
-        weights.append(w)
-    total = sum(weights, Fraction(0))
-    return Distribution(states, [w / total for w in weights])
+def _law(states: list, masses: list[Fraction | int]) -> Distribution:
+    """Law over states, proportional to their integer or Fraction masses."""
+    total = sum(masses)
+    return Distribution(states, [Fraction(m, total) for m in masses])
 
 
 def occupation_law(L: int, mass: dict[int, Fraction | int]) -> Distribution:
     """Law over all 2**L occupations in enumeration order, proportional to
     mass[word]; words absent from mass get probability 0."""
-    total = sum(mass.values())
-    states = tuple(enumerate_occupations(L))
-    return Distribution(states, [Fraction(mass.get(s.word, 0), total) for s in states])
+    states = list(enumerate_occupations(L))
+    return _law(states, [mass.get(s.word, 0) for s in states])
 
 
 def two_layer_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
     """Exact law on pairs (tau, xi), proportional to the weight Q."""
     admit("pairs", L, max_L)
-    return _normalized(
-        ((tau, xi), q_weight(tau, xi, p)) for tau, xi in enumerate_pairs(L)
-    )
+    pairs = list(enumerate_pairs(L))
+    return _law(pairs, [q_weight(tau, xi, p) for tau, xi in pairs])
 
 
 def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None:
@@ -207,9 +200,6 @@ class PhiTable(Record, frozen=True):
     def value(self, tau: Occupation) -> Fraction:
         return self.values[tau]
 
-    def total(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
-
     def normalized(self) -> Distribution:
         return occupation_law(self.L, {s.word: v for s, v in self.values.items()})
 
@@ -235,9 +225,7 @@ def path_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
     admit("marginal", L, max_L)
     weights, _ = _path_weights(L, p)
     paths = list(enumerate_paths(L))
-    masses = [w << g.horizontal for w, g in zip(weights, paths)]
-    total = sum(masses)
-    return Distribution(paths, [Fraction(m, total) for m in masses])
+    return _law(paths, [w << g.horizontal for w, g in zip(weights, paths)])
 
 
 def top_marginal(pairs: Distribution) -> Distribution:
@@ -290,8 +278,5 @@ def duchi_weight(tau: Occupation, xi: Occupation, A, B) -> Fraction:
 def duchi_distribution(L: int, A, B, max_L: int | None = None) -> Distribution:
     """Normalized comparison measure over the Motzkin pairs."""
     admit("pairs", L, max_L)
-    return _normalized(
-        ((tau, xi), duchi_weight(tau, xi, A, B))
-        for tau, xi in enumerate_pairs(L)
-        if is_motzkin(path_of(tau, xi))
-    )
+    pairs = [pair for pair in enumerate_pairs(L) if is_motzkin(path_of(*pair))]
+    return _law(pairs, [duchi_weight(tau, xi, A, B) for tau, xi in pairs])

@@ -143,13 +143,6 @@ class LatticePath:
     def __setattr__(self, name, value):
         raise AttributeError("LatticePath is immutable")
 
-    @classmethod
-    def from_steps(cls, steps: Sequence[int]) -> "LatticePath":
-        vals = [0]
-        for s in steps:
-            vals.append(vals[-1] + s)
-        return cls(vals)
-
     @property
     def length(self) -> int:
         """Number of steps (the system size L)."""

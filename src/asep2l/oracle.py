@@ -24,14 +24,15 @@ modulo the prime certifies that the nullspace is one-dimensional. The
 dense solver solve_dixon is kept as the small-system cross-check.
 
 The Gillespie simulator at the bottom is the only floating-point code in
-the package.
+the package. It draws from the same moves the generator is built from
+(_moves), with the rates as floats.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isfinite, isqrt, lcm
 
 import numpy as np
 
@@ -96,6 +97,28 @@ class GeneratorMatrix:
         return out
 
 
+def _moves(w: int, L: int, right, left, alpha, beta, gamma, delta) -> list:
+    """(target, rate) of every move out of word w with a nonzero rate: the
+    bulk hops from site 1 to site L, then the move at site 1, then the move
+    at site L. Each rate is the object passed in, so the same list serves
+    the exact generator and the floating-point simulator."""
+    out = []
+    for i in range(L - 1):
+        pair = (w >> i) & 3
+        if pair == 1:  # occupied, free -> hop right
+            out.append((w ^ (3 << i), right))
+        elif pair == 2 and left:  # free, occupied -> hop left
+            out.append((w ^ (3 << i), left))
+    rate = gamma if w & 1 else alpha  # leave or enter at site 1
+    if rate:
+        out.append((w ^ 1, rate))
+    last = 1 << (L - 1)
+    rate = beta if w & last else delta  # leave or enter at site L
+    if rate:
+        out.append((w ^ last, rate))
+    return out
+
+
 def build_generator(L: int, r: Rates, max_L: int | None = None) -> GeneratorMatrix:
     """Assemble the generator over all 2**L occupation words.
 
@@ -106,23 +129,11 @@ def build_generator(L: int, r: Rates, max_L: int | None = None) -> GeneratorMatr
     admit("generator", L, max_L)
     if L < 1:
         raise ValueError("generator needs L >= 1")
-    last = 1 << (L - 1)
-    right = Fraction(1)
+    rates = (Fraction(1), r.q, r.alpha, r.beta, r.gamma, r.delta)
     rows = []
     for w in range(1 << L):
         row: dict[int, Fraction] = {}
-        for i in range(L - 1):
-            pair = (w >> i) & 3
-            if pair == 1:  # occupied, free -> hop right
-                row[w ^ (3 << i)] = right
-            elif pair == 2 and r.q:  # free, occupied -> hop left
-                row[w ^ (3 << i)] = r.q
-        rate = r.gamma if w & 1 else r.alpha  # leave or enter at site 1
-        if rate:
-            row[w ^ 1] = rate
-        rate = r.beta if w & last else r.delta  # leave or enter at site L
-        if rate:
-            target = w ^ last
+        for target, rate in _moves(w, L, *rates):
             row[target] = row[target] + rate if target in row else rate
         rows.append(row)
     return GeneratorMatrix(L, tuple(rows))
@@ -530,40 +541,28 @@ def gillespie_simulate(
     seed: int = 0,
     max_L: int | None = None,
 ) -> SimulationResult:
-    """Exponential-clock simulation of the process; reproducible per seed."""
+    """Exponential-clock simulation of the process; reproducible per seed.
+
+    The run lasts burn_in + horizon time units, so both must be finite and
+    burn_in nonnegative; a horizon <= 0 observes nothing and is flagged
+    insufficient.
+    """
     admit("simulation", L, max_L)
     if L < 1:
         raise ValueError("simulation needs L >= 1")
-    rates = {k: float(getattr(r, k)) for k in ("alpha", "beta", "gamma", "delta", "q")}
+    if not isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    if not (isfinite(burn_in) and burn_in >= 0):
+        raise ValueError(f"burn_in must be finite and nonnegative, got {burn_in}")
+    rates = [1.0] + [float(getattr(r, k)) for k in ("q", "alpha", "beta", "gamma", "delta")]
     rng = random.Random(seed)
     track_configs = L <= 12
     config_time: dict[int, float] = {}
     site_time = [0.0] * L
-    last = 1 << (L - 1)
     w = 0
     t = 0.0
     t_end = burn_in + max(horizon, 0.0)
     steps = 0
-
-    def moves(state: int):
-        out = []
-        for i in range(L - 1):
-            pair = (state >> i) & 3
-            if pair == 1:
-                out.append((1.0, state ^ (3 << i)))
-            elif pair == 2 and rates["q"] > 0:
-                out.append((rates["q"], state ^ (3 << i)))
-        if state & 1:
-            if rates["gamma"] > 0:
-                out.append((rates["gamma"], state & ~1))
-        elif rates["alpha"] > 0:
-            out.append((rates["alpha"], state | 1))
-        if state & last:
-            if rates["beta"] > 0:
-                out.append((rates["beta"], state & ~last))
-        elif rates["delta"] > 0:
-            out.append((rates["delta"], state | last))
-        return out
 
     def credit(state: int, lo: float, hi: float):
         span = min(hi, t_end) - max(lo, burn_in)
@@ -576,8 +575,8 @@ def gillespie_simulate(
                 site_time[i] += span
 
     while t < t_end:
-        options = moves(w)
-        total = sum(rate for rate, _ in options)
+        options = _moves(w, L, *rates)
+        total = sum(rate for _, rate in options)
         if total == 0.0:
             credit(w, t, t_end)
             t = t_end
@@ -589,8 +588,8 @@ def gillespie_simulate(
             break
         pick = rng.random() * total
         acc = 0.0
-        target = options[-1][1]
-        for rate, nxt in options:
+        target = options[-1][0]
+        for nxt, rate in options:
             acc += rate
             if pick < acc:
                 target = nxt

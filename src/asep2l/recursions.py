@@ -25,6 +25,11 @@ A table is built once per size and verification run: each public checker
 is a run of its own, and _verify, the run of the `verify` command, keeps
 the tables of every size it reads (the basic weight equations' included)
 in a dict of its own that is dropped when it returns.
+
+Each public checker admits its size against the `verify` row of MAX_L
+(the bulk checker the long pair's L1 + L2 + 2), as the command does for
+its L; _verify and the private checkers it runs admit nothing, so that
+`verify --max-L` reaches them.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ensemble import _path_weights, _phi_table
-from .lattice import Occupation, enumerate_occupations, enumerate_pairs
+from .lattice import Occupation, admit, enumerate_occupations, enumerate_pairs
 from .record import Record
 from .weights import ModelParams
 
@@ -163,6 +168,7 @@ def _boundary(report, L, p, prepend: bool, coef, factors, tables) -> None:
 
 def check_left_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Prepending a site: Qt(0 tau | x' xi) - qA Qt(1 tau | x' xi) = A**x' Qt(tau | xi)."""
+    admit("verify", L)
     return _left_boundary(L, p, {})
 
 
@@ -174,6 +180,7 @@ def _left_boundary(L: int, p: ModelParams, tables: dict) -> VerificationReport:
 
 def check_right_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Appending a site: Qt(tau 1 | xi x') - qB Qt(tau 0 | xi x') = B**(1-x') Qt(tau | xi)."""
+    admit("verify", L)
     return _right_boundary(L, p, {})
 
 
@@ -185,6 +192,7 @@ def _right_boundary(L: int, p: ModelParams, tables: dict) -> VerificationReport:
 
 def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
     """Swapping an interior 10 to 01 against dropping one site."""
+    admit("verify", L1 + L2 + 2)
     return _bulk(L1, L2, p, {})
 
 
@@ -226,6 +234,7 @@ def _bulk(L1: int, L2: int, p: ModelParams, tables: dict) -> VerificationReport:
 
 def check_basic_weight_equations(L: int, p: ModelParams) -> VerificationReport:
     """The four equations for Phi, over all sizes up to L."""
+    admit("verify", L)
     return _basic_weight_equations(L, p, {})
 
 

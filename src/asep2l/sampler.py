@@ -6,12 +6,12 @@ in the first cell with C_i / T > U / 2**128. For integer C_i that is
 C_i > floor(U * T / 2**128), so one integer product, one shift and a
 bisection place every draw exactly, with no cell boundary misjudged.
 
-The default route weighs the 3**L paths over one common denominator (the
+The sampler weighs the 3**L paths over one common denominator (the
 table stationary_mu builds), gives each path the mass w << H of its 2**H
 pairs, H being its number of level steps, and fills the level steps of a
-drawn path with fair coin flips, from site 1 to site L. The alternative
-tabulates all 4**L pairs directly. Identical (seed, parameters, route)
-reproduce identical batches.
+drawn path with fair coin flips, from site 1 to site L, so the 4**L pairs
+are never tabulated. Identical seeds and parameters reproduce identical
+batches.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import lshift
-from typing import Callable, Iterable
 
-from .ensemble import Distribution, _path_weights, two_layer_law
+from .ensemble import Distribution, _path_weights
 from .lattice import Occupation, admit
 from .record import Record
 from .weights import ModelParams
@@ -40,25 +38,14 @@ MAX_DRAWS = 10 ** 6
 class SampleBatch(Record, frozen=True):
     """Reproducible draws of (tau, xi) pairs."""
 
-    __slots__ = ("L", "params", "seed", "route", "draws")
+    __slots__ = ("L", "params", "seed", "draws")
 
-    def __init__(self, L: int, params: ModelParams, seed: int, route: str, draws: tuple):
-        self._init(L, params, seed, route, draws)
+    def __init__(self, L: int, params: ModelParams, seed: int, draws: tuple):
+        self._init(L, params, seed, draws)
 
     @property
     def count(self) -> int:
         return len(self.draws)
-
-
-def _inverse_cdf(masses: Iterable[int]) -> Callable[[random.Random], int]:
-    """A draw of an index with probability proportional to masses."""
-    cum = list(accumulate(masses))
-    total = cum[-1]
-
-    def draw(rng: random.Random) -> int:
-        return bisect_right(cum, (rng.getrandbits(_UNIFORM_BITS) * total) >> _UNIFORM_BITS)
-
-    return draw
 
 
 def _site_masks(sites: int, offset: int) -> list[tuple[int, int]]:
@@ -77,7 +64,8 @@ def _path_draws(L: int, p: ModelParams, n: int, rng: random.Random) -> list:
     levels = [0]
     for _ in range(L):
         levels = [h + step for h in levels for step in (0, 1, 0)]
-    draw = _inverse_cdf(map(lshift, weights, levels))
+    cum = list(accumulate(map(lshift, weights, levels)))
+    total = cum[-1]
     del weights, levels  # only the cumulative masses stay for the draws
     # path index i = hi * 3**low + lo: hi holds sites 1..L-low, lo the rest
     low = L // 2
@@ -86,7 +74,8 @@ def _path_draws(L: int, p: ModelParams, n: int, rng: random.Random) -> list:
     full = (1 << L) - 1
     draws = []
     for _ in range(n):
-        hi, lo = divmod(draw(rng), len(tail))
+        u = rng.getrandbits(_UNIFORM_BITS)
+        hi, lo = divmod(bisect_right(cum, (u * total) >> _UNIFORM_BITS), len(tail))
         down = head[hi][0] | tail[lo][0]
         level = head[hi][1] | tail[lo][1]
         tau = full & ~(down | level)
@@ -105,26 +94,16 @@ def sample_two_layer(
     p: ModelParams,
     n: int,
     seed: int,
-    route: str = "path",
     max_L: int | None = None,
 ) -> SampleBatch:
-    """Draw n pairs by exact inverse CDF along the chosen route."""
+    """Draw n pairs by exact inverse CDF over the path law."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_DRAWS:
         raise ValueError(f"n={n} exceeds the limit of {MAX_DRAWS} draws")
-    rng = random.Random(seed)
-    if route == "path":
-        admit("paths", L, max_L)
-        draws = _path_draws(L, p, n, rng)
-    elif route == "pair":
-        law = two_layer_law(L, p, max_L)
-        den = lcm(*(pr.denominator for pr in law.probs))
-        draw = _inverse_cdf(pr.numerator * (den // pr.denominator) for pr in law.probs)
-        draws = [law.states[draw(rng)] for _ in range(n)]
-    else:
-        raise ValueError(f"route must be 'path' or 'pair', got {route!r}")
-    return SampleBatch(L=L, params=p, seed=seed, route=route, draws=tuple(draws))
+    admit("paths", L, max_L)
+    draws = _path_draws(L, p, n, random.Random(seed))
+    return SampleBatch(L=L, params=p, seed=seed, draws=tuple(draws))
 
 
 class CompareReport(Record, frozen=True):

@@ -165,24 +165,6 @@ class ModelParams(Record, frozen=True):
     def ab(self) -> Fraction:
         return self.A * self.B
 
-    @property
-    def singular_level(self) -> int | None:
-        """Smallest N >= 1 with A*B*q**(N+2) == 1, else None.
-
-        At such a point the rescaled-weight system degenerates for sizes
-        above N; the polynomial weights remain well defined.
-        """
-        if self.q == 0 or self.ab == 0:
-            return None
-        value = self.ab * self.q ** 3
-        n = 1
-        while value >= 1:
-            if value == 1:
-                return n
-            value *= self.q
-            n += 1
-        return None
-
     def tilde_scale(self, L: int) -> Fraction:
         """(AB;q)_2 / (AB;q)_(L+2) in its cancelled form
         1 / prod_(k=2..L+1) (1 - AB q**k), refusing the poles

@@ -22,6 +22,12 @@ from asep2l.errors import EnumerationCapExceeded
 from asep2l.lattice import MAX_L, Occupation
 from asep2l.oracle import build_generator, gillespie_simulate, rates_from_params
 from asep2l.rational import parse_rational
+from asep2l.recursions import (
+    check_basic_weight_equations,
+    check_bulk,
+    check_left_boundary,
+    check_right_boundary,
+)
 from asep2l.sampler import sample_two_layer
 from asep2l.weights import ModelParams, partition_Z, w_sigma_operator
 
@@ -258,22 +264,13 @@ class TestSample:
             Occupation.from_string(tau)
             Occupation.from_string(xi)
 
-    def test_pair_route(self, capsys):
-        code, out = run(
-            capsys, "sample", "--L", "2", "--q", "0", "--A", "1", "--B", "1",
-            "--n", "4", "--seed", "1", "--route", "pair",
-        )
-        assert code == 0
-        assert len(out.strip().splitlines()) == 5
-
-    @pytest.mark.parametrize("route", ["path", "pair"])
-    def test_lines_are_the_library_draws(self, capsys, route):
+    def test_lines_are_the_library_draws(self, capsys):
         # each word is formatted once; the lines must still be the draws'
         for L in (0, 1, 4):
-            args = ("--L", str(L), "--n", "300", "--seed", "17", "--route", route)
+            args = ("--L", str(L), "--n", "300", "--seed", "17")
             code, out = run(capsys, "sample", *args, *P_ARGS)
             assert code == 0
-            batch = sample_two_layer(L, P, 300, seed=17, route=route)
+            batch = sample_two_layer(L, P, 300, seed=17)
             expected = ["tau,xi"] + [f"{tau},{xi}" for tau, xi in batch.draws]
             assert out.splitlines() == expected
 
@@ -295,7 +292,6 @@ OPERATIONS = {
     "pairs": [
         lambda: two_layer_law(BIG, P),
         lambda: duchi_distribution(BIG, 1, 2),
-        lambda: sample_two_layer(BIG, P, 1, seed=0, route="pair"),
     ],
     "paths": [
         lambda: partition_Z(BIG, P),
@@ -303,7 +299,13 @@ OPERATIONS = {
     ],
     "generator": [lambda: build_generator(BIG, RATES)],
     "simulation": [lambda: gillespie_simulate(BIG, RATES, horizon=1.0)],
-    "verify": [_handler("verify", "--L", str(BIG), *P_ARGS)],
+    "verify": [
+        _handler("verify", "--L", str(BIG), *P_ARGS),
+        lambda: check_left_boundary(BIG, P),
+        lambda: check_right_boundary(BIG, P),
+        lambda: check_bulk(BIG, 0, P),
+        lambda: check_basic_weight_equations(BIG, P),
+    ],
     "polynomial": [
         _handler("wsigma", "--sigma", str(BIG + 1), "--q", "1/2"),
         _handler("qweight", "--tau", "0" * BIG, "--xi", "0" * BIG, *P_ARGS),
@@ -414,7 +416,6 @@ class TestAdmission:
             ("oracle",),
             ("oracle", "--simulate", "--horizon", "1"),
             ("sample", "--n", "1"),
-            ("sample", "--n", "1", "--route", "pair"),
             ("compare",),
         ],
         ids=" ".join,
@@ -429,12 +430,25 @@ class TestAdmission:
             two_layer_law(11, P)
         with pytest.raises(EnumerationCapExceeded):
             duchi_distribution(11, 1, 2)
-        sample = ("sample", "--route", "pair", "--L", "11", "--n", "1", *P_ARGS)
-        assert run(capsys, *sample)[0] == 2
         sigma = str(MAX_L["polynomial"] + 2)
         assert run(capsys, "wsigma", "--sigma", sigma, "--q", "1/2")[0] == 2
         monkeypatch.setenv("ASEP_MAX_L", "9")
         assert run(capsys, "wsigma", "--sigma", "7,3,1", "--q", "1/2")[0] == 2
+
+    def test_env_limit_reaches_the_identity_checkers(self, capsys, monkeypatch):
+        monkeypatch.setenv("ASEP_MAX_L", "3")
+        assert check_left_boundary(3, P).passed
+        assert check_bulk(1, 0, P).passed
+        for operation in (
+            lambda: check_left_boundary(4, P),
+            lambda: check_right_boundary(4, P),
+            lambda: check_bulk(1, 1, P),
+            lambda: check_basic_weight_equations(4, P),
+        ):
+            with pytest.raises(EnumerationCapExceeded):
+                operation()
+        # the command admits its own L once, so --max-L reaches every checker
+        assert run(capsys, "verify", "--L", "4", "--max-L", "4", *P_ARGS)[0] == 0
 
     def test_every_max_L_flag_is_enforced(self, capsys):
         """A subcommand that takes --max-L runs at --L 2 and refuses it

@@ -360,3 +360,33 @@ class TestGillespie:
     def test_cap(self):
         with pytest.raises(EnumerationCapExceeded):
             gillespie_simulate(31, rates_from_params(POINTS[0]), horizon=1.0)
+
+    def test_seeded_run_is_pinned(self):
+        # the figures of one seeded run: a change to the moves offered in a
+        # state, or to their order, changes the trajectory
+        r = rates_from_params(POINTS[1])
+        result = gillespie_simulate(3, r, horizon=30.0, burn_in=2.0, seed=5)
+        assert result.steps == 50
+        assert result.site_density == (
+            0.5228600280305041, 0.35155815795662926, 0.33345215222083835
+        )
+        assert {str(s): f for s, f in result.config_freq.items()} == {
+            "000": 0.199947829917349,
+            "100": 0.2198564066630296,
+            "010": 0.12885372398812373,
+            "110": 0.11788988721065928,
+            "001": 0.043523871306176874,
+            "101": 0.18511373415681523,
+            "011": 0.10481454675784627,
+        }
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_horizon_is_refused(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            gillespie_simulate(2, rates_from_params(POINTS[1]), horizon=horizon)
+
+    @pytest.mark.parametrize("burn_in", [float("inf"), float("nan"), -50.0])
+    def test_burn_in_must_be_finite_and_nonnegative(self, burn_in):
+        r = rates_from_params(POINTS[1])
+        with pytest.raises(ValueError, match="burn_in"):
+            gillespie_simulate(2, r, horizon=100.0, burn_in=burn_in)

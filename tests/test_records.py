@@ -100,11 +100,11 @@ def test_repr():
 
 def test_sample_batch_equality():
     draws = ((Occupation(1, 0), Occupation(1, 1)),)
-    batch = SampleBatch(1, P, 7, "path", draws)
-    same = SampleBatch(L=1, params=ModelParams(F(1, 2), 1, 2), seed=7, route="path", draws=draws)
+    batch = SampleBatch(1, P, 7, draws)
+    same = SampleBatch(L=1, params=ModelParams(F(1, 2), 1, 2), seed=7, draws=draws)
     assert batch == same
-    assert hash(batch) == hash(SampleBatch(1, P, 7, "path", draws))
-    assert batch != SampleBatch(1, P, 8, "path", draws)
+    assert hash(batch) == hash(SampleBatch(1, P, 7, draws))
+    assert batch != SampleBatch(1, P, 8, draws)
     assert batch.count == 1
 
 

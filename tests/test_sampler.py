@@ -13,10 +13,10 @@ from asep2l.sampler import MAX_DRAWS, empirical_compare, sample_two_layer
 from asep2l.weights import ModelParams
 
 
-def reference_draws(L, p, n, seed, route):
-    """The slow sampler: a Fraction CDF over the tabulated law, and for
-    the path route validated paths and occupations per draw."""
-    law = path_law(L, p) if route == "path" else two_layer_law(L, p)
+def reference_draws(L, p, n, seed):
+    """The slow sampler: a Fraction CDF over the tabulated path law, then
+    validated paths and occupations per draw."""
+    law = path_law(L, p)
     cum = []
     acc = F(0)
     for pr in law.probs:
@@ -26,12 +26,10 @@ def reference_draws(L, p, n, seed, route):
     draws = []
     for _ in range(n):
         u = F(rng.getrandbits(128), 2 ** 128)
-        state = law.states[bisect_right(cum, u)]
-        if route == "path":
-            eta = [rng.getrandbits(1) if step == 0 else 0 for step in state.steps()]
-            tau = tau_from_path(state, eta)
-            state = (tau, xi_of(tau, state))
-        draws.append(state)
+        gamma = law.states[bisect_right(cum, u)]
+        eta = [rng.getrandbits(1) if step == 0 else 0 for step in gamma.steps()]
+        tau = tau_from_path(gamma, eta)
+        draws.append((tau, xi_of(tau, gamma)))
     return tuple(draws)
 
 
@@ -45,13 +43,12 @@ REFERENCE_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("route", ["path", "pair"])
 @pytest.mark.parametrize("p", REFERENCE_POINTS)
-def test_draws_equal_the_fraction_cdf_reference(p, route):
+def test_draws_equal_the_fraction_cdf_reference(p):
     for L in range(7):
         for seed in (0, 1, 2024):
-            batch = sample_two_layer(L, p, 300, seed, route=route)
-            assert batch.draws == reference_draws(L, p, 300, seed, route), (L, seed)
+            batch = sample_two_layer(L, p, 300, seed)
+            assert batch.draws == reference_draws(L, p, 300, seed), (L, seed)
 
 
 class TestSampling:
@@ -63,17 +60,12 @@ class TestSampling:
         c = sample_two_layer(3, p, 200, seed=43)
         assert a.draws != c.draws
 
-    def test_routes_produce_valid_pairs(self):
+    def test_draws_are_valid_pairs(self):
         p = ModelParams(F(1, 3), F(1, 2), F(2))
-        for route in ("path", "pair"):
-            batch = sample_two_layer(2, p, 100, seed=1, route=route)
-            assert batch.route == route
-            for tau, xi in batch.draws:
-                assert tau.length == xi.length == 2
-
-    def test_unknown_route(self):
-        with pytest.raises(ValueError):
-            sample_two_layer(2, ModelParams(F(0), F(1), F(1)), 1, 0, route="mcmc")
+        batch = sample_two_layer(2, p, 100, seed=1)
+        assert (batch.L, batch.params, batch.seed, batch.count) == (2, p, 1, 100)
+        for tau, xi in batch.draws:
+            assert tau.length == xi.length == 2
 
     def test_negative_count(self):
         with pytest.raises(ValueError):
@@ -84,9 +76,8 @@ class TestSampling:
         with pytest.raises(ValueError, match="draws"):
             sample_two_layer(1, p, MAX_DRAWS + 1, 0)
         # a size no table could be built for still fails on the count
-        for route in ("path", "pair"):
-            with pytest.raises(ValueError, match="draws"):
-                sample_two_layer(10 ** 6, p, MAX_DRAWS + 1, 0, route=route)
+        with pytest.raises(ValueError, match="draws"):
+            sample_two_layer(10 ** 6, p, MAX_DRAWS + 1, 0)
         argv = ["sample", "--L", "1", "--q", "1/2", "--A", "1", "--B", "2"]
         assert main(argv + ["--n", str(MAX_DRAWS + 1)]) == 2
         assert "draws" in capsys.readouterr().err
@@ -130,9 +121,10 @@ class TestEmpiricalCompare:
         report = empirical_compare(batch, stationary_mu(3, p))
         assert report.max_abs_z < 4.0
 
-    def test_pair_route_statistics(self):
+    def test_pair_statistics(self):
+        # the draws against the law tabulated over all 4**L pairs
         p = ModelParams(F(1, 2), F(1), F(2))
-        batch = sample_two_layer(2, p, 20000, seed=9, route="pair")
+        batch = sample_two_layer(2, p, 20000, seed=9)
         report = empirical_compare(batch, two_layer_law(2, p))
         assert report.max_abs_z < 4.0
 
@@ -155,8 +147,9 @@ class TestEmpiricalCompare:
 
     def test_zero_probability_states_never_drawn(self):
         p = ModelParams(F(1, 2), F(0), F(0))
-        batch = sample_two_layer(3, p, 2000, seed=11, route="pair")
+        batch = sample_two_layer(3, p, 2000, seed=11)
         law = two_layer_law(3, p)
+        assert any(pr == 0 for pr in law.probs)
         report = empirical_compare(batch, law)
         for state, pr in law.items():
             if pr == 0:

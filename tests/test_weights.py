@@ -141,15 +141,6 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(F(1, 2), F(-1), F(1))
 
-    def test_singular_level(self):
-        # A*B*q**(N+2) == 1 at N = 1 for AB = 8, q = 1/2
-        assert ModelParams(F(1, 2), F(4), F(2)).singular_level == 1
-        assert ModelParams(F(1, 2), F(8), F(2)).singular_level == 2
-        # AB = q**-2 is a pole of the rescaling but below the N >= 1 range
-        assert ModelParams(F(1, 2), F(4), F(1)).singular_level is None
-        assert ModelParams(F(0), F(4), F(2)).singular_level is None
-        assert ModelParams(F(1, 2), F(1), F(1)).singular_level is None
-
     def test_tilde_scale_values_and_poles(self):
         p = ModelParams(F(1, 2), F(4), F(1))  # AB = 4 = q**-2
         # (ab;q)_2 / (ab;q)_2 = 1 at L = 0: pole factor k=2 not yet included
