@@ -28,7 +28,7 @@ MAX_L = {
     "paths": 14,  # 3**L paths
     "generator": 12,  # 2**L-state generator and its exact solve
     "simulation": 30,  # Gillespie run over L sites
-    "verify": 10,  # every identity checker up to size L
+    "verify": 12,  # every identity checker up to size L
     "polynomial": 200,  # one composition polynomial of L+1
 }
 

@@ -514,6 +514,13 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
 # stochastic simulation (floating point, quarantined here)
 
 
+# Largest expected number of events in one simulation: the run lasts
+# burn_in + horizon time units, and no state leaves at a higher total rate
+# than (L - 1) max(1, q) + max(alpha, gamma) + max(beta, delta). At L = 30
+# a run takes about 13 s per million events on a 2-CPU VM.
+MAX_EVENTS = 10 ** 7
+
+
 class SimulationResult(Record):
     """Time-averaged occupation frequencies from an event-driven run."""
 
@@ -544,8 +551,9 @@ def gillespie_simulate(
     """Exponential-clock simulation of the process; reproducible per seed.
 
     The run lasts burn_in + horizon time units, so both must be finite and
-    burn_in nonnegative; a horizon <= 0 observes nothing and is flagged
-    insufficient.
+    burn_in nonnegative, and that time at the largest total rate out of a
+    state may not exceed MAX_EVENTS events; a horizon <= 0 observes nothing
+    and is flagged insufficient.
     """
     admit("simulation", L, max_L)
     if L < 1:
@@ -554,6 +562,13 @@ def gillespie_simulate(
         raise ValueError(f"horizon must be finite, got {horizon}")
     if not (isfinite(burn_in) and burn_in >= 0):
         raise ValueError(f"burn_in must be finite and nonnegative, got {burn_in}")
+    t_end = burn_in + max(horizon, 0.0)
+    top_rate = (L - 1) * max(1, r.q) + max(r.alpha, r.gamma) + max(r.beta, r.delta)
+    if t_end * top_rate > MAX_EVENTS:
+        raise ValueError(
+            f"burn_in + horizon = {t_end:g} at a total rate up to "
+            f"{float(top_rate):g} exceeds the limit of {MAX_EVENTS} events"
+        )
     rates = [1.0] + [float(getattr(r, k)) for k in ("q", "alpha", "beta", "gamma", "delta")]
     rng = random.Random(seed)
     track_configs = L <= 12
@@ -561,7 +576,6 @@ def gillespie_simulate(
     site_time = [0.0] * L
     w = 0
     t = 0.0
-    t_end = burn_in + max(horizon, 0.0)
     steps = 0
 
     def credit(state: int, lo: float, hi: float):

@@ -3,23 +3,26 @@
 The rescaled two-layer weight satisfies one left-boundary, one
 right-boundary, and one bulk identity relating sizes L+1 (or L+2) to L;
 summing each identity over the bottom layer yields the four basic weight
-equations for the table Phi. Every checker enumerates its full instance
+equations for the table Phi. Every checker covers its full instance
 space at concrete rational parameters and compares sides exactly,
 recording the first few failures verbatim.
 
 The boundary and bulk checkers read every weight from the integer path
-table of its size. With T_L(word) = sum_j bit_(j-1)(word) * 3**(L-j), the
-path of (tau, xi) is number T_L(tau) - T_L(xi) + (3**L - 1) // 2 in
-step-lexicographic order, so
+table of its size. Site j of (tau, xi) gives the base-3 digit
+tau_j - xi_j + 1, its step plus one, and these digits, site 1 first, are
+the number of the path in step-lexicographic order, so
 
     Qt_L(tau, xi) = tilde_scale(L) * W_L[that number] / den_L
 
-with (W_L, den_L) = ensemble._path_weights(L). T of a concatenation u v
-is T(u) * 3**len(v) + T(v), which gives the numbers of the extended pairs
-from those of the short ones. Each identity's rational constants are put
-over one denominator once, so an instance is one integer comparison,
-kl * (cd * W_hi[a] - cn * W_hi[b]) == kr * W_lo[c]; the exact Fraction
-sides are built only for a failure that is kept.
+with (W_L, den_L) = ensemble._path_weights(L). So an identity is checked
+once per path k of the short pair: the added sites put their digits first
+(numbers d * 3**L + k), last (3 * k + d) or between a prefix and a suffix
+path (bulk), and each side is a slice of a table. With the constants over
+one denominator, a path is one integer comparison,
+kl * (cd * W_hi[a] - cn * W_hi[b]) == kr * W_lo[k]. A report still counts
+every pair as an instance; only when a path fails are the pairs walked,
+in enumerate_pairs order, to keep the first failures with their Fraction
+sides.
 
 A table is built once per size and verification run: each public checker
 is a run of its own, and _verify, the run of the `verify` command, keeps
@@ -95,74 +98,72 @@ class VerificationReport(Record):
         }
 
 
-def _ternary(L: int) -> list[int]:
-    """T_L of every word of L sites: the entry of the word without its
-    lowest set bit, plus the power of 3 of that bit's site."""
-    t = [0] * (1 << L)
-    for word in range(1, 1 << L):
-        low = word & -word
-        t[word] = t[word ^ low] + 3 ** (L - low.bit_length())
-    return t
-
-
-def _table(L: int, p: ModelParams, tables: dict) -> tuple[list[int], Fraction, int]:
-    """Path weights W_L, the unit with Qt_L = unit * W_L[number], and the
-    number of the level path, (3**L - 1) // 2, kept in tables, the dict of
-    one verification run; raises SingularParameter at the poles of size L."""
+def _table(L: int, p: ModelParams, tables: dict) -> tuple[list[int], Fraction]:
+    """Path weights W_L and the unit with Qt_L = unit * W_L[number], kept
+    in tables, the dict of one verification run; raises SingularParameter
+    at the poles of size L."""
     table = tables.get(L)
     if table is None:
         scale = p.tilde_scale(L)
         weights, den = _path_weights(L, p)
-        table = tables[L] = weights, scale / den, (3 ** L - 1) // 2
+        table = tables[L] = weights, scale / den
     return table
 
 
-def _compare(report, hi, lo, coef, factor, rows, cols, inputs) -> None:
-    """Check hi(a) - coef * hi(b) == factor * lo(c) on every row and column.
+def _number(tau: Occupation, xi: Occupation) -> int:
+    """The number of the path of (tau, xi) in step-lexicographic order:
+    site j gives the base-3 digit tau_j - xi_j + 1, site 1 first."""
+    k = 0
+    for t, x in zip(tau.bits(), xi.bits()):
+        k = 3 * k + t - x + 1
+    return k
 
-    hi and lo are _table results. Row i gives (a, b, c) and column j gives
-    (h, l), as differences T(tau) - T(xi): instance (i, j) reads hi at
-    a + h and b + h and lo at c + l. inputs(i, j) names a failing instance.
+
+def _compare(report, L, units, coef, factor, plus, minus, short, pairs) -> None:
+    """Check plus[k] - coef * minus[k] == factor * short[k] for every path k
+    of L sites, each side in its unit (units: long, short), on integers.
+
+    Path k stands for the pairs of L sites numbered k, 4**L in all, each an
+    instance. pairs() yields every pair as (tau, xi, inputs) in
+    enumerate_pairs order, and is walked only when some path fails.
     """
-    (wh, uh, oh), (wl, ul, ol) = hi, lo
     cn, cd = coef.numerator, coef.denominator
-    ratio = factor * ul * cd / uh
+    ratio = factor * units[1] * cd / units[0]
     kl, kr = ratio.denominator, ratio.numerator
-    for i, (ra, rb, rc) in enumerate(rows):
-        ra, rb, rc = ra + oh, rb + oh, rc + ol
-        bad = [
-            j
-            for j, (xh, xl) in enumerate(cols)
-            if kl * (cd * wh[ra + xh] - cn * wh[rb + xh]) != kr * wl[rc + xl]
-        ]
-        report.instances += len(cols)
-        for j in bad[: FAILURES_KEPT - len(report.failures)]:
-            xh, xl = cols[j]
-            lhs = uh * (wh[ra + xh] - coef * wh[rb + xh])
-            rhs = factor * ul * wl[rc + xl]
-            report.failures.append(Failure(inputs(i, j), lhs, rhs))
+    bad = {
+        k: (a, b, c)
+        for k, (a, b, c) in enumerate(zip(plus, minus, short))
+        if kl * (cd * a - cn * b) != kr * c
+    }
+    report.instances += 4 ** L
+    for tau, xi, inputs in pairs() if bad else ():
+        if len(report.failures) == FAILURES_KEPT:
+            return
+        if sides := bad.get(_number(tau, xi)):
+            a, b, c = sides
+            lhs, rhs = units[0] * (a - coef * b), factor * units[1] * c
+            report.failures.append(Failure(inputs, lhs, rhs))
 
 
 def _boundary(report, L, p, prepend: bool, coef, factors, tables) -> None:
     """Qt(tau+ | xi') - coef Qt(tau- | xi') = factors[x'] Qt(tau | xi), where
     a new site is added first (prepend) or last: xi' holds x' there, tau+
     holds 0 first or 1 last, and tau- the other bit."""
-    hi, lo = _table(L + 1, p, tables), _table(L, p, tables)
-    t = _ternary(L)
-    occs = list(enumerate_occupations(L))
-    words = [o.word for o in occs]
-    # T(b u) = b * 3**L + T(u) and T(u b) = 3 * T(u) + b
-    shift, scale = (3 ** L, 1) if prepend else (1, 3)
-    plus = 0 if prepend else 1
-    rows = [
-        (scale * t[w] + plus * shift, scale * t[w] + (1 - plus) * shift, t[w])
-        for w in words
-    ]
+    hi, unit_hi = _table(L + 1, p, tables)
+    lo, unit_lo = _table(L, p, tables)
+    n, new = 3 ** L, 0 if prepend else 1  # new: tau+'s bit at the new site
     for x in (0, 1):
-        cols = [(-scale * t[w] - x * shift, -t[w]) for w in words]
+        # the new site's digit, tau's bit - x' + 1, comes first or last
+        plus, minus = (
+            hi[d * n : (d + 1) * n] if prepend else hi[d::3]
+            for d in (new - x + 1, 2 - new - x)
+        )
         _compare(
-            report, hi, lo, coef, factors[x], rows, cols,
-            lambda i, j: {"tau": occs[i], "xi": occs[j], "xi_new": x},
+            report, L, (unit_hi, unit_lo), coef, factors[x], plus, minus, lo,
+            lambda: (
+                (tau, xi, {"tau": tau, "xi": xi, "xi_new": x})
+                for tau, xi in enumerate_pairs(L)
+            ),
         )
 
 
@@ -198,36 +199,34 @@ def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
 
 def _bulk(L1: int, L2: int, p: ModelParams, tables: dict) -> VerificationReport:
     report = VerificationReport("bulk", f"L1={L1},L2={L2}", p)
-    hi, lo = _table(L1 + L2 + 2, p, tables), _table(L1 + L2 + 1, p, tables)
-    t1, t2 = _ternary(L1), _ternary(L2)
-    pairs1 = list(enumerate_pairs(L1))
-    pairs2 = list(enumerate_pairs(L2))
-    d1 = [t1[tau.word] - t1[xi.word] for tau, xi in pairs1]
-    cols = [(d, d) for d in (t2[tau.word] - t2[xi.word] for tau, xi in pairs2)]
-    unit = 3 ** L2
+    hi, unit_hi = _table(L1 + L2 + 2, p, tables)
+    lo, unit_lo = _table(L1 + L2 + 1, p, tables)
+    u = 3 ** L2
+
+    def blocks(weights, width, digit):
+        # after each prefix path, the u suffix paths of middle number digit
+        starts = range(digit * u, len(weights), width * u)
+        return [w for s in starts for w in weights[s : s + u]]
+
+    def pairs():
+        for tau1, xi1 in enumerate_pairs(L1):
+            for tau2, xi2 in enumerate_pairs(L2):
+                inputs = {
+                    "tau1": tau1, "xi1": xi1, "tau2": tau2, "xi2": xi2,
+                    "xi_mid": f"{xi_a}{xi_b}",
+                }
+                yield tau1.concat(tau2), xi1.concat(xi2), inputs
+
     for xi_a in (0, 1):
         for xi_b in (0, 1):
-            # T(u m v) = T(u) * 3**(len(m) + L2) + T(m) * 3**L2 + T(v), with
-            # middle m: tau 10 (T = 3) or 01 (1) against xi_a xi_b (3 xi_a +
-            # xi_b) in the long pair, tau 1 - xi_b against xi_a in the short
+            # the middle: tau 10 (number 7 - mid) or 01 (5 - mid) against
+            # xi_a xi_b (mid = 3 xi_a + xi_b) in the long pair, and tau
+            # 1 - xi_b against xi_a (digit 2 - xi_a - xi_b) in the short one
             mid = 3 * xi_a + xi_b
-            rows = [
-                (
-                    9 * unit * d + (3 - mid) * unit,
-                    9 * unit * d + (1 - mid) * unit,
-                    3 * unit * d + (1 - xi_b - xi_a) * unit,
-                )
-                for d in d1
-            ]
             _compare(
-                report, hi, lo, p.q, 1, rows, cols,
-                lambda i, j: {
-                    "tau1": pairs1[i][0],
-                    "xi1": pairs1[i][1],
-                    "tau2": pairs2[j][0],
-                    "xi2": pairs2[j][1],
-                    "xi_mid": f"{xi_a}{xi_b}",
-                },
+                report, L1 + L2, (unit_hi, unit_lo), p.q, 1,
+                blocks(hi, 9, 7 - mid), blocks(hi, 9, 5 - mid),
+                blocks(lo, 3, 2 - xi_a - xi_b), pairs,
             )
     return report
 
@@ -241,7 +240,7 @@ def check_basic_weight_equations(L: int, p: ModelParams) -> VerificationReport:
 def _basic_weight_equations(L: int, p: ModelParams, tables: dict) -> VerificationReport:
     report = VerificationReport("basic-weight-equations", f"L<={L}", p)
     phis = [
-        _phi_table(ell, p, *_table(ell, p, tables)[:2]).values for ell in range(L + 1)
+        _phi_table(ell, p, *_table(ell, p, tables)).values for ell in range(L + 1)
     ]
     empty = Occupation(0, 0)
     report.check(phis[0][empty], Fraction(1), {"equation": "initial"})

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -232,6 +233,24 @@ class TestOracleAndCompare:
             "--simulate", "--horizon", "1", "--max-L", "4",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_oracle_simulate_refuses_a_horizon_that_observes_nothing(
+        self, capsys, horizon
+    ):
+        argv = ["oracle", "--L", "2", *P_ARGS, "--simulate", f"--horizon={horizon}"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "horizon" in captured.err
+
+    def test_oracle_simulate_refuses_too_many_events_before_the_run(self, capsys):
+        start = time.perf_counter()
+        argv = ["oracle", "--L", "30", *P_ARGS, "--simulate", "--horizon", "1e9"]
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "events" in captured.err
+        assert elapsed < 1.0
 
     def test_compare_pass(self, capsys):
         code, out = run(

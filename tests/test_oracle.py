@@ -12,6 +12,7 @@ from asep2l.ensemble import Distribution, stationary_mu
 from asep2l.errors import EnumerationCapExceeded, SingularSystem
 from asep2l.lattice import Occupation, enumerate_occupations
 from asep2l.oracle import (
+    MAX_EVENTS,
     GeneratorMatrix,
     Rates,
     _integer_transpose,
@@ -379,6 +380,18 @@ class TestGillespie:
             "101": 0.18511373415681523,
             "011": 0.10481454675784627,
         }
+
+    def test_expected_events_are_capped_before_the_run(self):
+        r = rates_from_params(POINTS[2])
+        # no state at L = 30 leaves faster than 29 bonds and both boundaries
+        top = 29 + max(r.alpha, r.gamma) + max(r.beta, r.delta)
+        longest = MAX_EVENTS / float(top)
+        with pytest.raises(ValueError, match="events"):
+            gillespie_simulate(30, r, horizon=1.001 * longest)
+        with pytest.raises(ValueError, match="events"):
+            gillespie_simulate(30, r, horizon=longest / 2, burn_in=0.501 * longest)
+        # the CLI's default horizon stays admitted at the largest L
+        assert gillespie_simulate(30, r, horizon=1000.0, seed=1).steps > 0
 
     @pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -float("inf")])
     def test_non_finite_horizon_is_refused(self, horizon):

@@ -6,7 +6,7 @@ from functools import cache
 import pytest
 from test_acceptance import AB_GRID, Q_GRID
 
-from asep2l import weights
+from asep2l import recursions, weights
 from asep2l.errors import SingularParameter
 from asep2l.ensemble import phi_table, stationary_mu
 from asep2l.lattice import LatticePath, Occupation, enumerate_pairs
@@ -131,7 +131,7 @@ class TestPathTableRoute:
 
         monkeypatch.setattr(weights, "_w_value", perturbed)
         failing = capped = 0
-        for p in (GRID[1], GRID[2], SHOCK):
+        for p in (GRID[1], GRID[2], GRID[3], GRID[4], SHOCK):
             for fast, slow in both_routes(p, max_L=4, max_bulk=3):
                 assert fast == slow
                 failing += not fast["passed"]
@@ -139,6 +139,21 @@ class TestPathTableRoute:
         # composition (2, 1) is read at sizes 2 and 3; some reports keep
         # only the first FAILURES_KEPT of their failures
         assert failing > 0 and capped > 0
+
+    def test_every_failure_is_found_in_pair_order(self, monkeypatch):
+        real = weights._w_value
+
+        def perturbed(sigma, q, z):
+            return real(sigma, q, z) + (sigma == (2, 2))
+
+        monkeypatch.setattr(weights, "_w_value", perturbed)
+        for fast, slow in both_routes(GRID[1], max_L=3, max_bulk=2):
+            assert fast == slow
+        # with no cap, the path route must name every failing pair, in order
+        monkeypatch.setattr(recursions, "FAILURES_KEPT", 10 ** 6)
+        routes = both_routes(GRID[1], max_L=3, max_bulk=2)
+        assert all(fast == slow for fast, slow in routes)
+        assert max(len(fast["failures"]) for fast, _ in routes) > FAILURES_KEPT
 
     def test_no_lattice_path_is_built(self, monkeypatch):
         def refuse(self, values):
@@ -149,6 +164,14 @@ class TestPathTableRoute:
         assert check_left_boundary(4, p).passed
         assert check_right_boundary(4, p).passed
         assert check_bulk(1, 2, p).passed
+
+    def test_passing_run_walks_no_pair(self, monkeypatch):
+        def refuse(L):
+            raise AssertionError("pairs walked on a passing run")
+
+        monkeypatch.setattr(recursions, "enumerate_pairs", refuse)
+        reports = recursions._verify(6, ModelParams(F(1, 3), F(1), F(2)), "all")
+        assert all(report.passed for report in reports)
 
 
 class TestBoundaryIdentities:
