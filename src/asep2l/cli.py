@@ -70,7 +70,10 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_wsigma(args) -> int:
-    parts = [int(s) for s in args.sigma.replace(" ", "").split(",") if s]
+    try:
+        parts = [int(s) for s in args.sigma.replace(" ", "").split(",")]
+    except ValueError:  # an empty or non-integer part
+        parts = []
     if not parts or any(s <= 0 for s in parts):
         raise ValueError(f"sigma must be positive integers, got {args.sigma!r}")
     admit("polynomial", sum(parts) - 1)

@@ -175,18 +175,11 @@ def _spread(weights: list[int], L: int) -> list[int]:
     return row
 
 
-def _mu_table(L: int, p: ModelParams) -> tuple[dict[int, int], int]:
-    """Unnormalized top-layer masses, keyed by packed occupation word, as
-    integers over the common denominator returned with them."""
-    weights, den = _path_weights(L, p)
-    masses = _spread(weights, L)
-    return {occ.word: m for occ, m in zip(enumerate_occupations(L), masses)}, den
-
-
 def stationary_mu(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
     """Stationary measure of the exclusion process as the top marginal."""
     admit("marginal", L, max_L)
-    return occupation_law(L, _mu_table(L, p)[0])
+    weights, _ = _path_weights(L, p)
+    return _law(list(enumerate_occupations(L)), _spread(weights, L))
 
 
 class PhiTable(Record, frozen=True):
@@ -209,12 +202,7 @@ def phi_table(L: int, p: ModelParams, max_L: int | None = None) -> PhiTable:
     admit("marginal", L, max_L)
     scale = p.tilde_scale(L)
     weights, den = _path_weights(L, p)
-    return _phi_table(L, p, weights, scale / den)
-
-
-def _phi_table(L: int, p: ModelParams, weights: list[int], unit: Fraction) -> PhiTable:
-    """The table from the path weights of size L (_path_weights) and the
-    unit tilde_scale(L) / den they are counted in."""
+    unit = scale / den
     masses = _spread(weights, L)
     values = {occ: unit * m for occ, m in zip(enumerate_occupations(L), masses)}
     return PhiTable(L, p, values)

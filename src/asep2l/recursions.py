@@ -7,22 +7,25 @@ equations for the table Phi. Every checker covers its full instance
 space at concrete rational parameters and compares sides exactly,
 recording the first few failures verbatim.
 
-The boundary and bulk checkers read every weight from the integer path
-table of its size. Site j of (tau, xi) gives the base-3 digit
-tau_j - xi_j + 1, its step plus one, and these digits, site 1 first, are
-the number of the path in step-lexicographic order, so
+Every checker reads its sides from integer tables. Site j of (tau, xi)
+gives the base-3 digit tau_j - xi_j + 1, its step plus one, and these
+digits, site 1 first, are the number of the path in step-lexicographic
+order, so
 
     Qt_L(tau, xi) = tilde_scale(L) * W_L[that number] / den_L
 
-with (W_L, den_L) = ensemble._path_weights(L). So an identity is checked
-once per path k of the short pair: the added sites put their digits first
-(numbers d * 3**L + k), last (3 * k + d) or between a prefix and a suffix
-path (bulk), and each side is a slice of a table. With the constants over
-one denominator, a path is one integer comparison,
-kl * (cd * W_hi[a] - cn * W_hi[b]) == kr * W_lo[k]. A report still counts
-every pair as an instance; only when a path fails are the pairs walked,
-in enumerate_pairs order, to keep the first failures with their Fraction
-sides.
+with (W_L, den_L) = ensemble._path_weights(L). Summed over the bottom
+layer, Phi_L(tau) = tilde_scale(L) * M_L[tau's number] / den_L, with the
+top-layer masses M_L = ensemble._spread(W_L, L) numbered by tau's bits,
+site 1 first. So an equation is checked once per entry k of the short
+table: the added sites put their digits first, last or between a prefix
+and a suffix (bulk), and each side is the slice of a table whose digit
+of one place value is fixed (_digit). With the constants over one
+denominator, an entry is one integer comparison,
+kl * (cd * hi[a] - cn * hi[b]) == kr * lo[k]. A report still counts every
+pair (or top layer, for Phi) as an instance; only when an entry fails are
+the instances walked, in enumerate_pairs (enumerate_occupations) order,
+to keep the first failures with their Fraction sides.
 
 A table is built once per size and verification run: each public checker
 is a run of its own, and _verify, the run of the `verify` command, keeps
@@ -30,16 +33,18 @@ the tables of every size it reads (the basic weight equations' included)
 in a dict of its own that is dropped when it returns.
 
 Each public checker admits its size against the `verify` row of MAX_L
-(the bulk checker the long pair's L1 + L2 + 2), as the command does for
-its L; _verify and the private checkers it runs admit nothing, so that
+(the bulk checker the long pair's L1 + L2 + 2, after refusing a negative
+part), as the command does for its L; _verify and the private checkers it runs admit nothing, so that
 `verify --max-L` reaches them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from operator import add
 
-from .ensemble import _path_weights, _phi_table
+from .ensemble import _path_weights, _spread
 from .lattice import Occupation, admit, enumerate_occupations, enumerate_pairs
 from .record import Record
 from .weights import ModelParams
@@ -119,30 +124,45 @@ def _number(tau: Occupation, xi: Occupation) -> int:
     return k
 
 
-def _compare(report, L, units, coef, factor, plus, minus, short, pairs) -> None:
-    """Check plus[k] - coef * minus[k] == factor * short[k] for every path k
-    of L sites, each side in its unit (units: long, short), on integers.
+def _digit(table: list, base: int, place: int, d: int) -> list:
+    """The entries of table whose digit of place value place, in base
+    base, is d, in table order. The lowest and the highest digit take one
+    slice each: a long list grown entry by entry leaves freed memory that
+    the process keeps (4 MiB more peak RSS in `verify --L 12`)."""
+    if place == 1:
+        return table[d::base]
+    if base * place == len(table):
+        return table[d * place : (d + 1) * place]
+    starts = range(d * place, len(table), base * place)
+    return [w for s in starts for w in table[s : s + place]]
 
-    Path k stands for the pairs of L sites numbered k, 4**L in all, each an
-    instance. pairs() yields every pair as (tau, xi, inputs) in
-    enumerate_pairs order, and is walked only when some path fails.
-    """
+
+def _mismatches(units, coef, factor, plus, minus, short) -> dict:
+    """The k at which plus[k] - coef * minus[k] == factor * short[k] fails,
+    each side in its unit (units: long, short) and compared on integers,
+    mapped to a call that gives its sides as Fractions (only a kept
+    failure needs them)."""
     cn, cd = coef.numerator, coef.denominator
     ratio = factor * units[1] * cd / units[0]
     kl, kr = ratio.denominator, ratio.numerator
-    bad = {
-        k: (a, b, c)
+    return {
+        k: lambda a=a, b=b, c=c: (units[0] * (a - coef * b), factor * units[1] * c)
         for k, (a, b, c) in enumerate(zip(plus, minus, short))
         if kl * (cd * a - cn * b) != kr * c
     }
-    report.instances += 4 ** L
-    for tau, xi, inputs in pairs() if bad else ():
+
+
+def _tally(report, instances: int, bad, cases) -> None:
+    """Count the instances of a check; when any failed (bad is not empty),
+    keep the first failures of cases(), which yields (sides, inputs) in the
+    report's order, sides from _mismatches or None where the equation
+    holds."""
+    report.instances += instances
+    for sides, inputs in cases() if bad else ():
         if len(report.failures) == FAILURES_KEPT:
             return
-        if sides := bad.get(_number(tau, xi)):
-            a, b, c = sides
-            lhs, rhs = units[0] * (a - coef * b), factor * units[1] * c
-            report.failures.append(Failure(inputs, lhs, rhs))
+        if sides:
+            report.failures.append(Failure(inputs, *sides()))
 
 
 def _boundary(report, L, p, prepend: bool, coef, factors, tables) -> None:
@@ -151,20 +171,15 @@ def _boundary(report, L, p, prepend: bool, coef, factors, tables) -> None:
     holds 0 first or 1 last, and tau- the other bit."""
     hi, unit_hi = _table(L + 1, p, tables)
     lo, unit_lo = _table(L, p, tables)
-    n, new = 3 ** L, 0 if prepend else 1  # new: tau+'s bit at the new site
+    # the new site's digit, tau's bit - x' + 1, has the place 3**L or 1
+    place, new = (3 ** L, 0) if prepend else (1, 1)  # new: tau+'s bit there
     for x in (0, 1):
-        # the new site's digit, tau's bit - x' + 1, comes first or last
-        plus, minus = (
-            hi[d * n : (d + 1) * n] if prepend else hi[d::3]
-            for d in (new - x + 1, 2 - new - x)
-        )
-        _compare(
-            report, L, (unit_hi, unit_lo), coef, factors[x], plus, minus, lo,
-            lambda: (
-                (tau, xi, {"tau": tau, "xi": xi, "xi_new": x})
-                for tau, xi in enumerate_pairs(L)
-            ),
-        )
+        plus, minus = (_digit(hi, 3, place, d) for d in (new - x + 1, 2 - new - x))
+        bad = _mismatches((unit_hi, unit_lo), coef, factors[x], plus, minus, lo)
+        _tally(report, 4 ** L, bad, lambda: (
+            (bad.get(_number(tau, xi)), {"tau": tau, "xi": xi, "xi_new": x})
+            for tau, xi in enumerate_pairs(L)
+        ))
 
 
 def check_left_boundary(L: int, p: ModelParams) -> VerificationReport:
@@ -193,6 +208,8 @@ def _right_boundary(L: int, p: ModelParams, tables: dict) -> VerificationReport:
 
 def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
     """Swapping an interior 10 to 01 against dropping one site."""
+    if L1 < 0 or L2 < 0:
+        raise ValueError(f"part sizes must be nonnegative, got L1={L1}, L2={L2}")
     admit("verify", L1 + L2 + 2)
     return _bulk(L1, L2, p, {})
 
@@ -202,32 +219,25 @@ def _bulk(L1: int, L2: int, p: ModelParams, tables: dict) -> VerificationReport:
     hi, unit_hi = _table(L1 + L2 + 2, p, tables)
     lo, unit_lo = _table(L1 + L2 + 1, p, tables)
     u = 3 ** L2
-
-    def blocks(weights, width, digit):
-        # after each prefix path, the u suffix paths of middle number digit
-        starts = range(digit * u, len(weights), width * u)
-        return [w for s in starts for w in weights[s : s + u]]
-
-    def pairs():
-        for tau1, xi1 in enumerate_pairs(L1):
-            for tau2, xi2 in enumerate_pairs(L2):
-                inputs = {
-                    "tau1": tau1, "xi1": xi1, "tau2": tau2, "xi2": xi2,
-                    "xi_mid": f"{xi_a}{xi_b}",
-                }
-                yield tau1.concat(tau2), xi1.concat(xi2), inputs
-
     for xi_a in (0, 1):
         for xi_b in (0, 1):
-            # the middle: tau 10 (number 7 - mid) or 01 (5 - mid) against
-            # xi_a xi_b (mid = 3 xi_a + xi_b) in the long pair, and tau
-            # 1 - xi_b against xi_a (digit 2 - xi_a - xi_b) in the short one
+            # the middle: tau 10 (base-9 digit 7 - mid) or 01 (5 - mid)
+            # against xi_a xi_b (mid = 3 xi_a + xi_b) in the long pair, and
+            # tau 1 - xi_b against xi_a (digit 2 - xi_a - xi_b) in the short
             mid = 3 * xi_a + xi_b
-            _compare(
-                report, L1 + L2, (unit_hi, unit_lo), p.q, 1,
-                blocks(hi, 9, 7 - mid), blocks(hi, 9, 5 - mid),
-                blocks(lo, 3, 2 - xi_a - xi_b), pairs,
+            bad = _mismatches(
+                (unit_hi, unit_lo), p.q, 1,
+                _digit(hi, 9, u, 7 - mid), _digit(hi, 9, u, 5 - mid),
+                _digit(lo, 3, u, 2 - xi_a - xi_b),
             )
+            _tally(report, 4 ** (L1 + L2), bad, lambda: (
+                (bad.get(_number(tau1.concat(tau2), xi1.concat(xi2))), {
+                    "tau1": tau1, "xi1": xi1, "tau2": tau2, "xi2": xi2,
+                    "xi_mid": f"{xi_a}{xi_b}",
+                })
+                for tau1, xi1 in enumerate_pairs(L1)
+                for tau2, xi2 in enumerate_pairs(L2)
+            ))
     return report
 
 
@@ -239,43 +249,43 @@ def check_basic_weight_equations(L: int, p: ModelParams) -> VerificationReport:
 
 def _basic_weight_equations(L: int, p: ModelParams, tables: dict) -> VerificationReport:
     report = VerificationReport("basic-weight-equations", f"L<={L}", p)
-    phis = [
-        _phi_table(ell, p, *_table(ell, p, tables)).values for ell in range(L + 1)
-    ]
-    empty = Occupation(0, 0)
-    report.check(phis[0][empty], Fraction(1), {"equation": "initial"})
-    qa = p.q * p.A
-    qb = p.q * p.B
+    # Phi_ell = units[ell] * masses[ell], in enumerate_occupations order
+    weights, units = zip(*(_table(ell, p, tables) for ell in range(L + 1)))
+    masses = [_spread(w, ell) for ell, w in enumerate(weights)]
+    # Phi_0(empty) = 1, as Phi_0(empty) - 0 * 0 = 1 * 1
+    initial = _mismatches((units[0], Fraction(1)), 0, 1, masses[0], [0], [1])
+    _tally(report, 1, initial, lambda: [(initial.get(0), {"equation": "initial"})])
     for ell in range(L):
-        lo, hi = phis[ell], phis[ell + 1]
-        for tau in enumerate_occupations(ell):
-            lhs = hi[tau.prepend(0)] - qa * hi[tau.prepend(1)]
-            report.check(
-                lhs, (1 + p.A) * lo[tau], {"equation": "left", "tau": tau}
-            )
-            lhs = hi[tau.append(1)] - qb * hi[tau.append(0)]
-            report.check(
-                lhs, (1 + p.B) * lo[tau], {"equation": "right", "tau": tau}
-            )
-    one_zero = Occupation.from_bits((1, 0))
-    zero_one = Occupation.from_bits((0, 1))
-    bit = [Occupation.from_bits((0,)), Occupation.from_bits((1,))]
+        lo, hi, n = masses[ell], masses[ell + 1], 1 << ell
+        pair = units[ell + 1], units[ell]
+        # 0 tau and 1 tau lead the table; tau 1 and tau 0 alternate in it
+        left = _mismatches(
+            pair, p.q * p.A, 1 + p.A, _digit(hi, 2, n, 0), _digit(hi, 2, n, 1), lo
+        )
+        right = _mismatches(
+            pair, p.q * p.B, 1 + p.B, _digit(hi, 2, 1, 1), _digit(hi, 2, 1, 0), lo
+        )
+        _tally(report, 2 * n, left or right, lambda: (
+            (bad.get(k), {"equation": side, "tau": tau})
+            for k, tau in enumerate(enumerate_occupations(ell))
+            for bad, side in ((left, "left"), (right, "right"))
+        ))
     for total in range(L - 1):
-        lo, hi = phis[total + 1], phis[total + 2]
+        lo, hi = masses[total + 1], masses[total + 2]
+        pair = units[total + 2], units[total + 1]
         for n1 in range(total + 1):
             n2 = total - n1
-            for tau1 in enumerate_occupations(n1):
-                for tau2 in enumerate_occupations(n2):
-                    lhs = hi[tau1.concat(one_zero).concat(tau2)] - p.q * hi[
-                        tau1.concat(zero_one).concat(tau2)
-                    ]
-                    rhs = (
-                        lo[tau1.concat(bit[0]).concat(tau2)]
-                        + lo[tau1.concat(bit[1]).concat(tau2)]
-                    )
-                    report.check(
-                        lhs, rhs, {"equation": "bulk", "tau1": tau1, "tau2": tau2}
-                    )
+            u = 1 << n2
+            # tau1 10 tau2 and tau1 01 tau2 against tau1 0 tau2 + tau1 1 tau2
+            short = map(add, _digit(lo, 2, u, 0), _digit(lo, 2, u, 1))
+            plus, minus = _digit(hi, 4, u, 2), _digit(hi, 4, u, 1)
+            bad = _mismatches(pair, p.q, 1, plus, minus, short)
+            _tally(report, 1 << total, bad, lambda: (
+                (bad.get(k), {"equation": "bulk", "tau1": tau1, "tau2": tau2})
+                for k, (tau1, tau2) in enumerate(
+                    product(enumerate_occupations(n1), enumerate_occupations(n2))
+                )
+            ))
     return report
 
 

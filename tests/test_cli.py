@@ -100,6 +100,12 @@ class TestWsigma:
         assert run(capsys, "wsigma", "--sigma", "0,2", "--q", "1/2")[0] == 2
         assert run(capsys, "wsigma", "--sigma", "", "--q", "1/2")[0] == 2
 
+    @pytest.mark.parametrize("sigma", ["1,,2", "1,2,", ",1"])
+    def test_rejects_an_empty_part(self, capsys, sigma):
+        assert main(["wsigma", "--sigma", sigma, "--q", "1/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sigma must be" in captured.err
+
     def test_prints_results_over_the_digit_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)

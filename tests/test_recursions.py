@@ -9,7 +9,12 @@ from test_acceptance import AB_GRID, Q_GRID
 from asep2l import recursions, weights
 from asep2l.errors import SingularParameter
 from asep2l.ensemble import phi_table, stationary_mu
-from asep2l.lattice import LatticePath, Occupation, enumerate_pairs
+from asep2l.lattice import (
+    LatticePath,
+    Occupation,
+    enumerate_occupations,
+    enumerate_pairs,
+)
 from asep2l.recursions import (
     FAILURES_KEPT,
     VerificationReport,
@@ -94,6 +99,47 @@ def reference_bulk(L1, L2, p, weight):
     return report
 
 
+def reference_basic_weight_equations(L, p):
+    """The four equations for Phi on Fraction tables, one tau at a time."""
+    report = VerificationReport("basic-weight-equations", f"L<={L}", p)
+    phis = [phi_table(ell, p).values for ell in range(L + 1)]
+    empty = Occupation(0, 0)
+    report.check(phis[0][empty], F(1), {"equation": "initial"})
+    qa = p.q * p.A
+    qb = p.q * p.B
+    for ell in range(L):
+        lo, hi = phis[ell], phis[ell + 1]
+        for tau in enumerate_occupations(ell):
+            lhs = hi[tau.prepend(0)] - qa * hi[tau.prepend(1)]
+            report.check(
+                lhs, (1 + p.A) * lo[tau], {"equation": "left", "tau": tau}
+            )
+            lhs = hi[tau.append(1)] - qb * hi[tau.append(0)]
+            report.check(
+                lhs, (1 + p.B) * lo[tau], {"equation": "right", "tau": tau}
+            )
+    one_zero = Occupation.from_bits((1, 0))
+    zero_one = Occupation.from_bits((0, 1))
+    bit = [Occupation.from_bits((0,)), Occupation.from_bits((1,))]
+    for total in range(L - 1):
+        lo, hi = phis[total + 1], phis[total + 2]
+        for n1 in range(total + 1):
+            n2 = total - n1
+            for tau1 in enumerate_occupations(n1):
+                for tau2 in enumerate_occupations(n2):
+                    lhs = hi[tau1.concat(one_zero).concat(tau2)] - p.q * hi[
+                        tau1.concat(zero_one).concat(tau2)
+                    ]
+                    rhs = (
+                        lo[tau1.concat(bit[0]).concat(tau2)]
+                        + lo[tau1.concat(bit[1]).concat(tau2)]
+                    )
+                    report.check(
+                        lhs, rhs, {"equation": "bulk", "tau1": tau1, "tau2": tau2}
+                    )
+    return report
+
+
 def both_routes(p, max_L=5, max_bulk=4):
     """(path-table report, reference report) dicts for every boundary size
     up to max_L and every bulk split with L1 + L2 <= max_bulk."""
@@ -167,11 +213,56 @@ class TestPathTableRoute:
 
     def test_passing_run_walks_no_pair(self, monkeypatch):
         def refuse(L):
-            raise AssertionError("pairs walked on a passing run")
+            raise AssertionError("pairs or occupations walked on a passing run")
 
         monkeypatch.setattr(recursions, "enumerate_pairs", refuse)
+        monkeypatch.setattr(recursions, "enumerate_occupations", refuse)
         reports = recursions._verify(6, ModelParams(F(1, 3), F(1), F(2)), "all")
         assert all(report.passed for report in reports)
+
+
+def basic_routes(p, max_L=5):
+    """(integer report, reference report) dicts of the basic weight
+    equations for every L up to max_L."""
+    return [
+        (
+            check_basic_weight_equations(L, p).to_dict(),
+            reference_basic_weight_equations(L, p).to_dict(),
+        )
+        for L in range(max_L + 1)
+    ]
+
+
+class TestBasicRoute:
+    @pytest.mark.parametrize("p", GRID + ACCEPTANCE_GRID + [SHOCK])
+    def test_reports_equal_the_fraction_reference(self, p):
+        for fast, slow in basic_routes(p):
+            assert fast == slow
+
+    @pytest.mark.parametrize("kept", [FAILURES_KEPT, 10 ** 6])
+    @pytest.mark.parametrize("sigma", [(2, 1), (1,)])
+    def test_perturbed_weight_fails_both_routes_alike(self, monkeypatch, sigma, kept):
+        real = weights._w_value
+
+        def perturbed(s, q, z):
+            return real(s, q, z) + (s == sigma)
+
+        monkeypatch.setattr(weights, "_w_value", perturbed)
+        monkeypatch.setattr(recursions, "FAILURES_KEPT", kept)
+        failures = []
+        for p in (GRID[1], GRID[2], GRID[3], GRID[4], SHOCK):
+            for fast, slow in basic_routes(p):
+                assert fast == slow
+                failures.append(fast["failures"])
+        assert any(failures)
+        longest = max(len(kept_failures) for kept_failures in failures)
+        if sigma == (2, 1):
+            # some report fails more often than FAILURES_KEPT
+            capped = kept == FAILURES_KEPT
+            assert longest == FAILURES_KEPT if capped else longest > FAILURES_KEPT
+        # w_(1) is the weight of the empty path, so Phi_0 is no longer 1
+        initial = {"equation": "initial"}
+        assert any(f and f[0]["inputs"] == initial for f in failures) == (sigma == (1,))
 
 
 class TestBoundaryIdentities:
@@ -210,6 +301,15 @@ class TestBoundaryIdentities:
                 report = check_bulk(L1, L2, p)
                 assert report.passed
                 assert report.instances == 4 * 4 ** L1 * 4 ** L2
+
+    @pytest.mark.parametrize("L1, L2", [(-1, 2), (-3, 1), (2, -1)])
+    def test_bulk_refuses_a_negative_part(self, L1, L2, monkeypatch):
+        def refuse(L, p):
+            raise AssertionError("table built for a negative part")
+
+        monkeypatch.setattr(recursions, "_path_weights", refuse)
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_bulk(L1, L2, GRID[1])
 
     def test_bulk_exceptional_junction_instance(self):
         # (xi', xi'') = (1, 0) with the short pair's minimum at the junction
