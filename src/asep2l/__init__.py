@@ -90,6 +90,19 @@ _LAZY = {
 }
 
 
+# The names imported above from this package (not helpers such as
+# import_module), and the lazy ones
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith(__name__)
+] + list(_LAZY)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
 def __getattr__(name):
     module = _LAZY.get(name)
     if module is None:

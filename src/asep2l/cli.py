@@ -4,8 +4,8 @@ Subcommands: mu, wsigma, qweight, partition, verify, oracle, sample,
 compare. All rational inputs and outputs use the "p" or "p/q" text form;
 no floats cross the boundary except the simulator's frequencies. Exit
 codes: 0 success (or verification pass), 1 verification failure, 2 usage
-error, 3 singular parameters, 141 (128 + SIGPIPE) output pipe closed by
-its reader, as in `asep2l sample ... | head -1`.
+error or unwritable --out path, 3 singular parameters, 141 (128 + SIGPIPE)
+output pipe closed by its reader, as in `asep2l sample ... | head -1`.
 
 Each subcommand imports only the modules it runs: the identity checkers,
 the sampler and the oracle are loaded by the commands that use them.
@@ -205,13 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, L=True, rates=True):
+    def common(sp, L=True):
         if L:
             sp.add_argument("--L", type=int, required=True, help="system size")
-        if rates:
-            sp.add_argument("--q", required=True, help="bias, rational in [0,1)")
-            sp.add_argument("--A", required=True, help="left boundary strength")
-            sp.add_argument("--B", required=True, help="right boundary strength")
+        sp.add_argument("--q", required=True, help="bias, rational in [0,1)")
+        sp.add_argument("--A", required=True, help="left boundary strength")
+        sp.add_argument("--B", required=True, help="right boundary strength")
         sp.add_argument("--out", help="write output to this path")
         sp.add_argument("--max-L", dest="max_L", type=int, help="override size cap")
 
@@ -278,15 +277,16 @@ def main(argv=None) -> int:
     except SingularParameter as exc:
         print(f"singular parameters: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (ValueError, EnumerationCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BrokenPipeError:
         # Python's documented recipe: point stdout at devnull, so that the
         # flush at exit writes nothing and raises nothing
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except (ValueError, EnumerationCapExceeded, OSError) as exc:
+        # OSError: an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ calls admit once, at entry, with its row of MAX_L.
 from __future__ import annotations
 
 import os
+from itertools import accumulate, product
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapExceeded
@@ -109,9 +110,6 @@ class Occupation(Record, frozen=True):
 
     def __repr__(self) -> str:
         return f"Occupation({str(self)!r})" if self.length else "Occupation('')"
-
-
-EMPTY_OCCUPATION = Occupation(0, 0)
 
 
 class LatticePath:
@@ -231,20 +229,8 @@ def enumerate_paths(L: int) -> Iterator[LatticePath]:
     """All 3**L paths of length L in step-lexicographic order."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    steps = [-1] * L
-    vals = [0] * (L + 1)
-    while True:
-        for i in range(L):
-            vals[i + 1] = vals[i] + steps[i]
-        yield LatticePath(vals)
-        # odometer increment over steps in order -1 < 0 < +1
-        i = L - 1
-        while i >= 0 and steps[i] == 1:
-            steps[i] = -1
-            i -= 1
-        if i < 0:
-            return
-        steps[i] += 1
+    for steps in product((-1, 0, 1), repeat=L):
+        yield LatticePath(accumulate(steps, initial=0))
 
 
 def tau_from_path(gamma: LatticePath, eta: Sequence[int]) -> Occupation:

@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isfinite, isqrt, lcm
 
 import numpy as np
 
 from .errors import SingularSystem
 from .ensemble import Distribution, occupation_law
-from .lattice import Occupation, admit
+from .lattice import admit, enumerate_occupations
 from .record import Record
 from .weights import ModelParams
 
@@ -157,54 +158,31 @@ def _integer_transpose(g: GeneratorMatrix):
     return cols
 
 
-def particle_blocks(L: int) -> list[np.ndarray]:
+def particle_blocks(L: int) -> list[list[int]]:
     """The occupation words grouped by particle number N = 0..L.
 
     Block N holds the C(L, N) words with N particles, in increasing order.
     Bulk hops stay inside a block and boundary moves reach a neighbouring
     one, so in this order the generator is block tridiagonal.
     """
-    words = np.arange(1 << L)
-    counts = np.zeros_like(words)
-    for i in range(L):
-        counts += (words >> i) & 1
-    return [words[counts == n] for n in range(L + 1)]
+    blocks = [[] for _ in range(L + 1)]
+    for w in range(1 << L):
+        blocks[w.bit_count()].append(w)
+    return blocks
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_for(k: int, count: int = 5) -> list[int]:
-    """The largest `count` primes p <= 2**25 with k * p**2 < 2**63.
+def _primes_for(k: int) -> list[int]:
+    """The five largest primes p <= 2**25 with k * p**2 < 2**63.
 
     Every mod-p kernel below adds at most k products of residues to a
     residue, a sum below k * p**2, so none of its int64 sums can overflow.
+    Each odd candidate is tested by trial division by the odd d <= sqrt(n).
     """
     top = min(1 << 25, isqrt((2**63 - 1) // k))
     n = top - 1 + top % 2  # the largest odd number <= top
     out = []
-    while len(out) < count:
-        if _is_prime(n):
+    while len(out) < 5:
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
             out.append(n)
         n -= 2
     assert k * out[0] ** 2 < 2**63
@@ -272,16 +250,6 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _reconstruct_all(values: np.ndarray, m: int) -> list[Fraction] | None:
-    out = []
-    for v in values:
-        f = _rational_reconstruct(int(v), m)
-        if f is None:
-            return None
-        out.append(f)
-    return out
-
-
 def _ell(rows: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """Sparse integer rows, zero-padded to one width: (columns, exact values)."""
     width = max(map(len, rows), default=0)
@@ -311,7 +279,11 @@ def _dense_mod_p(rows: list[dict[int, int]], width: int, p: int) -> np.ndarray:
     return a
 
 
-def _dixon(rows, rhs, k: int, factor, max_digits: int = 4096) -> tuple[list[int], int]:
+# p-adic digits lifted per prime before the next prime is tried
+MAX_DIGITS = 4096
+
+
+def _dixon(rows, rhs, k: int, factor) -> tuple[list[int], int]:
     """Solve a nonsingular integer system exactly by p-adic lifting.
 
     Dixon, "Exact solution of linear equations using p-adic expansions",
@@ -339,15 +311,15 @@ def _dixon(rows, rhs, k: int, factor, max_digits: int = 4096) -> tuple[list[int]
         combined = np.zeros(len(rows), dtype=object)
         p_power = 1
         checkpoint = 8
-        for digits in range(1, max_digits + 1):
+        for digits in range(1, MAX_DIGITS + 1):
             xk = solve((residue % p).astype(np.int64)).astype(object)
             combined += p_power * xk
             p_power *= p
             residue = (residue - times(xk)) // p  # exact: p divides it
-            if digits == checkpoint or digits == max_digits:
+            if digits == checkpoint or digits == MAX_DIGITS:
                 checkpoint *= 2
-                x = _reconstruct_all(combined, p_power)
-                if x is None:
+                x = [_rational_reconstruct(int(v), p_power) for v in combined]
+                if None in x:
                     continue
                 den = lcm(*(f.denominator for f in x))
                 num = [f.numerator * (den // f.denominator) for f in x]
@@ -357,9 +329,7 @@ def _dixon(rows, rhs, k: int, factor, max_digits: int = 4096) -> tuple[list[int]
     raise SingularSystem("system singular modulo every tested prime")
 
 
-def solve_dixon(
-    rows: list[dict[int, int]], rhs: list[int], max_digits: int = 4096
-) -> list[Fraction]:
+def solve_dixon(rows: list[dict[int, int]], rhs: list[int]) -> list[Fraction]:
     """Solve a nonsingular integer system exactly over one dense inverse mod p.
 
     This is the small-system cross-check for the block solver inside
@@ -372,7 +342,7 @@ def solve_dixon(
         inv = _inverse_mod_p(_dense_mod_p(rows, n, p), p)
         return lambda b: inv @ b % p
 
-    num, den = _dixon(rows, rhs, n, factor, max_digits)
+    num, den = _dixon(rows, rhs, n, factor)
     return [Fraction(v, den) for v in num]
 
 
@@ -386,16 +356,15 @@ def _pinned_blocks(cols, blocks):
     block N), Lo_N (to N - 1) and Up_N (to N + 1), each with columns
     local to the block it reaches.
     """
-    order = np.concatenate(blocks).tolist()
-    index = {w: k - 1 for k, w in enumerate(order)}
-    count, local = [0] * len(order), [0] * len(order)
+    index = {w: k - 1 for k, w in enumerate(chain.from_iterable(blocks))}
+    count, local = [0] * len(index), [0] * len(index)
     for n, block in enumerate(blocks):
-        for a, w in enumerate(block.tolist()):
+        for a, w in enumerate(block):
             count[w], local[w] = n, a
     rows, rhs, parts = [], [], []
     for n, block in enumerate(blocks[1:], start=1):
         d, lo, up = [], [], []
-        for w in block.tolist():
+        for w in block:
             band = ({}, {}, {})  # Lo, D, Up rows of this word
             for i, v in cols[w].items():
                 step = count[i] - n
@@ -503,7 +472,7 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     k = max(len(d) for d, _, _ in parts)
     tail, den = _dixon(rows, rhs, k, lambda p: _factor_blocks(parts, p))
     masses = [0] * g.dim
-    for w, m in zip(np.concatenate(blocks).tolist(), [den] + tail):
+    for w, m in zip(chain.from_iterable(blocks), [den] + tail):
         masses[w] = m
     if not _is_stationary(cols, masses):
         raise SingularSystem("solution is not a stationary law of the generator")
@@ -615,9 +584,10 @@ def gillespie_simulate(
     insufficient = observed <= 0.0
     freq = None
     if track_configs and not insufficient:
-        freq = {
-            Occupation(L, word): span / observed
-            for word, span in sorted(config_time.items())
+        freq = {  # the visited states, in enumerate_occupations order
+            s: config_time[s.word] / observed
+            for s in enumerate_occupations(L)
+            if s.word in config_time
         }
     density = tuple(
         (s / observed if not insufficient else 0.0) for s in site_time

@@ -10,17 +10,17 @@ realized as an exact operator on the closed family of rational functions
     sum_j c_j * z**j / (z;q)_n.
 
 Such a function is stored as a :class:`BasisElement` with denominator depth
-``n`` and numerator coefficients ``c_j``. Applying ``D_q`` or ``D_q . z``
-(multiply by z, then differentiate) raises the depth by exactly one:
+``n`` and numerator coefficients ``c_j``. Applying ``D_q`` raises the depth
+by exactly one:
 
-    D_q [z^j / (z;q)_n]       = ([j]_q z^(j-1) + q^j [n-j]_q z^j) / (z;q)_(n+1)
-    (D_q . z) [z^j / (z;q)_n] = ([j+1]_q z^j + q^(j+1) [n-1-j]_q z^(j+1)) / (z;q)_(n+1)
+    D_q [z^j / (z;q)_n] = ([j]_q z^(j-1) + q^j [n-j]_q z^j) / (z;q)_(n+1)
 
-Both action formulas are pinned by tests against the raw difference
-quotient at rational sample points. They run on integers: with q = a/b,
-b**(k-1) [k]_q is an integer, so the numerators at depth n+1 times
-b**(n-1) are integer combinations of those at depth n. Everything here is
-exact; q must be a rational with 0 <= q < 1.
+and D_q . z (multiply by z, then differentiate) is D_q on the shifted
+numerator, since (D_q . z) f = D_q (z f). The action formula is pinned by
+tests against the raw difference quotient at rational sample points. It
+runs on integers: with q = a/b, b**(k-1) [k]_q is an integer, so the
+numerators at depth n+1 times b**(n-1) are integer combinations of those
+at depth n. Everything here is exact; q must be a rational with 0 <= q < 1.
 """
 
 from __future__ import annotations
@@ -260,6 +260,7 @@ def dq_scaled(nums: Sequence[int], n: int, q: Fraction) -> list[int]:
 
     The result holds the numerators at depth n + 1 times b**(n-1) (nothing
     is scaled at n = 0, where the action is zero), so no division occurs.
+    D_q . z on the same numerators is dq_scaled([0, *nums], n, q).
     """
     numbers, a_powers, b_powers = _action_tables(q, n)
     out = [0] * (len(nums) + 1)
@@ -274,36 +275,17 @@ def dq_scaled(nums: Sequence[int], n: int, q: Fraction) -> list[int]:
     return _trimmed(out)
 
 
-def dq_z_scaled(nums: Sequence[int], n: int, q: Fraction) -> list[int]:
-    """D_q . z on integer numerators at depth n, scaled as in dq_scaled."""
-    numbers, a_powers, b_powers = _action_tables(q, n)
-    out = [0] * (len(nums) + 1)
-    for j, c in enumerate(nums):
-        if c == 0:
-            continue
-        if j > n - 1:
-            raise ValueError("D_q.z action needs numerator degree < depth")
-        out[j] += c * numbers[j + 1] * b_powers[n - 1 - j]
-        out[j + 1] += c * a_powers[j + 1] * numbers[n - 1 - j]
-    return _trimmed(out)
-
-
-def _act(action, e: BasisElement, q: Rational) -> BasisElement:
-    """Run an integer action on e over the common denominator of its
-    coefficients."""
+def jackson_dq(e: BasisElement, q: Rational) -> BasisElement:
+    """Apply D_q, on integers over the common denominator of e's
+    coefficients; the result has depth e.depth + 1."""
     q = Fraction(q)
     den = lcm(*(c.denominator for c in e.coeffs))
     nums = [c.numerator * (den // c.denominator) for c in e.coeffs]
-    out = action(nums, e.depth, q)
+    out = dq_scaled(nums, e.depth, q)
     den *= q.denominator ** max(e.depth - 1, 0)
     return BasisElement(e.depth + 1, (Fraction(c, den) for c in out))
 
 
-def jackson_dq(e: BasisElement, q: Rational) -> BasisElement:
-    """Apply D_q; the result has depth e.depth + 1."""
-    return _act(dq_scaled, e, q)
-
-
 def jackson_dq_z(e: BasisElement, q: Rational) -> BasisElement:
     """Apply D_q after multiplying by z; the result has depth e.depth + 1."""
-    return _act(dq_z_scaled, e, q)
+    return jackson_dq(e.shift(), q)

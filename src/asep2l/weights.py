@@ -5,10 +5,11 @@ variable, computed two independent ways:
 
 * operator route: starting from 1/(1-z), apply for each part (right to
   left) one q-difference derivative followed by s_j - 1 applications of
-  "multiply by z then differentiate". After L+1 applications the basis
-  denominator has depth L+2 and the numerator coefficients are w. The
-  walk runs on integer numerators over a power of den(q) and is memoized
-  by suffix of the parts.
+  "multiply by z then differentiate", each of them one D_q step
+  (qcalc.dq_scaled) on the numerator, shifted by z for the latter. After
+  L+1 applications the basis denominator has depth L+2 and the numerator
+  coefficients are w. The walk runs on integer numerators over a power
+  of den(q) and is memoized by suffix of the parts.
 * series route: multiply the truncated power series
   sum_n z^n prod_j ([n+j+1]_q)^(s_j) by the expanded (z;q)_(L+2); all
   product coefficients beyond degree L-r must cancel exactly.
@@ -50,7 +51,6 @@ from .qcalc import (
     QPolynomial,
     Rational,
     dq_scaled,
-    dq_z_scaled,
     pochhammer_polynomial,
     q_number,
 )
@@ -87,8 +87,7 @@ def _w_scaled(parts: tuple[int, ...], q: Fraction) -> tuple[list[int], int]:
     depth = sum(parts[start:]) + 1
     for i in range(start - 1, -1, -1):
         for k in range(parts[i]):
-            action = dq_scaled if k == 0 else dq_z_scaled
-            nums = action(nums, depth, q)
+            nums = dq_scaled(nums if k == 0 else [0, *nums], depth, q)
             shift += depth - 1
             depth += 1
         memo[parts[i:]] = (nums, shift)

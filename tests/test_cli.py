@@ -20,7 +20,7 @@ from asep2l.ensemble import (
     two_layer_law,
 )
 from asep2l.errors import EnumerationCapExceeded
-from asep2l.lattice import MAX_L, Occupation
+from asep2l.lattice import MAX_L, Occupation, enumerate_occupations
 from asep2l.oracle import build_generator, gillespie_simulate, rates_from_params
 from asep2l.rational import parse_rational
 from asep2l.recursions import (
@@ -233,6 +233,17 @@ class TestOracleAndCompare:
         freqs = [float(line.split(",")[1]) for line in lines[1:]]
         assert abs(sum(freqs) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_oracle_simulate_lists_states_in_enumeration_order(self, capsys, L):
+        code, out = run(
+            capsys, "oracle", "--L", str(L), *P_ARGS,
+            "--simulate", "--horizon", "200", "--seed", "3",
+        )
+        assert code == 0
+        states = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        # a horizon this long visits every state
+        assert states == [str(s) for s in enumerate_occupations(L)]
+
     def test_oracle_simulate_respects_max_L(self, capsys):
         code, _ = run(
             capsys, "oracle", "--L", "5", "--q", "1/2", "--A", "1", "--B", "2",
@@ -381,6 +392,32 @@ def test_lazy_names_resolve_after_a_bare_import():
         "assert not hasattr(asep2l, 'no_such_name')\n"
     )
     subprocess.run([sys.executable, "-c", check], env=SRC_ENV, check=True)
+
+
+def test_star_import_binds_every_public_name():
+    check = (
+        "from asep2l import *\n"
+        "import asep2l\n"
+        "assert all(name in globals() for name in asep2l._LAZY)\n"
+        "assert all(name in globals() for name in ('stationary_mu', 'Occupation'))\n"
+        "assert 'import_module' not in globals()\n"
+        "assert set(asep2l._LAZY) <= set(dir(asep2l))\n"
+    )
+    subprocess.run([sys.executable, "-c", check], env=SRC_ENV, check=True)
+
+
+@pytest.mark.parametrize("command", [("mu", "--L", "2"), ("verify", "--L", "2")], ids=lambda c: c[0])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_path_is_a_usage_error(tmp_path, command, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "asep2l.cli", *command, *P_ARGS, "--out", str(out)],
+        env=SRC_ENV,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 def test_closed_output_pipe_exits_quietly():

@@ -141,6 +141,13 @@ class TestEnumeration:
         assert paths[0].values == (0, -1, -2, -3)
         assert paths[-1].values == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("L", range(7))
+    def test_paths_are_in_step_order(self, L):
+        paths = list(enumerate_paths(L))
+        assert len(paths) == 3**L
+        assert paths == sorted(paths, key=LatticePath.steps)
+        assert len(set(paths)) == len(paths)
+
     @pytest.mark.parametrize("L", range(1, 6))
     def test_pair_path_bijection(self, L):
         seen = {}

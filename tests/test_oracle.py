@@ -317,6 +317,17 @@ class TestExactSolvers:
                 assert p <= 1 << 25 and k * p * p < 2**63
                 assert all(p % d for d in range(2, isqrt(p) + 1))
 
+    @pytest.mark.parametrize("k", [1, 924, 1 << 13, 1 << 30])
+    def test_primes_are_the_largest_below_the_bound(self, k):
+        top = min(1 << 25, isqrt((2**63 - 1) // k))
+        expected = []
+        n = top
+        while len(expected) < 5:
+            if n > 1 and all(n % d for d in range(2, isqrt(n) + 1)):
+                expected.append(n)
+            n -= 1
+        assert _primes_for(k) == expected
+
 
 class TestGillespie:
     def test_two_state_frequency(self):
