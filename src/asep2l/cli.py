@@ -4,8 +4,9 @@ Subcommands: mu, wsigma, qweight, partition, verify, oracle, sample,
 compare. All rational inputs and outputs use the "p" or "p/q" text form;
 no floats cross the boundary except the simulator's frequencies. Exit
 codes: 0 success (or verification pass), 1 verification failure, 2 usage
-error or unwritable --out path, 3 singular parameters, 141 (128 + SIGPIPE)
-output pipe closed by its reader, as in `asep2l sample ... | head -1`.
+error or unwritable --out path (refused before any work), 3 singular
+parameters, 141 (128 + SIGPIPE) output pipe closed by its reader, as in
+`asep2l sample ... | head -1`.
 
 Each subcommand imports only the modules it runs: the identity checkers,
 the sampler and the oracle are loaded by the commands that use them.
@@ -49,6 +50,25 @@ def _emit(args, text: str) -> None:
         # a reader that closed the pipe fails this flush, inside main's
         # handler, rather than the one at interpreter exit
         sys.stdout.flush()
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any work is done.
+
+    Neither creates nor truncates the file: a command that fails later
+    leaves the path as it was.
+    """
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    if os.path.exists(path):
+        writable = os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"--out {path!r}: directory {parent!r} does not exist")
+        writable = os.access(parent, os.W_OK | os.X_OK)
+    if not writable:
+        raise ValueError(f"--out {path!r} is not writable")
 
 
 def _header(L: int, p: ModelParams) -> dict:
@@ -273,6 +293,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except SingularParameter as exc:
         print(f"singular parameters: {exc}", file=sys.stderr)

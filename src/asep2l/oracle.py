@@ -17,22 +17,28 @@ inverted by one Gauss-Jordan kernel), and lifts that elimination
 p-adically to the exact rational solution (Dixon's method with rational
 reconstruction). This costs sum_N C(L, N)**3 operations per prime
 instead of 8**L for one dense elimination, and each p-adic digit costs
-two matrix-vector products per block. The solution is kept as integer
-masses over one denominator and certified exactly against every column
-of the integer generator, x @ G = 0, before it is returned; solvability
-modulo the prime certifies that the nullspace is one-dimensional. The
-dense solver solve_dixon is kept as the small-system cross-check.
+two matrix-vector products per block. The kernel eliminates by panels of
+PANEL columns and applies each panel to the rest of the matrix as one
+float64 (BLAS) product of residues, exact because the prime is kept below
+2**24 (PANEL * p**2 < 2**53); it accumulates in int64 and reduces lazily,
+under the bound n * p**2 < 2**63 for an n x n block. The solution is
+kept as integer masses over one denominator and certified exactly
+against every column of the integer generator, x @ G = 0, before it is
+returned; solvability modulo the prime certifies that the nullspace is
+one-dimensional. The dense solver solve_dixon is kept as the
+small-system cross-check.
 
-The Gillespie simulator at the bottom is the only floating-point code in
-the package. It draws from the same moves the generator is built from
-(_moves), with the rates as floats.
+The Gillespie simulator at the bottom is the only code in the package
+whose results are floating point (the kernel's float64 products are
+exact integer arithmetic). It draws from the same moves the generator is
+built from (_moves), with the rates as floats.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, takewhile
 from math import gcd, isfinite, isqrt, lcm
 
 import numpy as np
@@ -171,21 +177,27 @@ def particle_blocks(L: int) -> list[list[int]]:
     return blocks
 
 
-def _primes_for(k: int) -> list[int]:
-    """The five largest primes p <= 2**25 with k * p**2 < 2**63.
+# columns per panel of the Gauss-Jordan kernel: one float64 product per panel
+PANEL = 32
 
-    Every mod-p kernel below adds at most k products of residues to a
-    residue, a sum below k * p**2, so none of its int64 sums can overflow.
-    Each odd candidate is tested by trial division by the odd d <= sqrt(n).
+
+def _primes_for(k: int) -> list[int]:
+    """The five largest primes p with k * p**2 < 2**63 and PANEL * p**2 < 2**53.
+
+    Every int64 kernel below adds at most k products of residues to a
+    residue, a sum below k * p**2, so none of its sums can overflow; and
+    _inverse_mod_p sums PANEL products of residues in float64, exact below
+    2**53. At PANEL = 32 the second bound caps p at 2**24 - 1. Each odd
+    candidate is tested by trial division by the odd d <= sqrt(n).
     """
-    top = min(1 << 25, isqrt((2**63 - 1) // k))
+    top = min(isqrt((2**53 - 1) // PANEL), isqrt((2**63 - 1) // k))
     n = top - 1 + top % 2  # the largest odd number <= top
     out = []
     while len(out) < 5:
         if all(n % d for d in range(3, isqrt(n) + 1, 2)):
             out.append(n)
         n -= 2
-    assert k * out[0] ** 2 < 2**63
+    assert k * out[0] ** 2 < 2**63 and PANEL * out[0] ** 2 < 2**53
     return out
 
 
@@ -196,38 +208,61 @@ class _SingularModP(Exception):
 def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square integer matrix over GF(p), entries in [0, p).
 
-    In-place Gauss-Jordan elimination with partial pivoting: step k scales
-    the pivot row by the pivot's inverse, which takes the pivot's place,
-    and subtracts multiples of that row from every other row; the row swaps
-    are undone as column swaps at the end. Reduction is lazy: only the
-    pivot row and column are reduced at each step, and every other entry
-    collects at most one product below p**2 per step on top of one
-    residue, so with n steps the n x n kernel sums at most n products
-    (see _primes_for). Raises _SingularModP if the matrix is singular
-    modulo p.
+    In-place Gauss-Jordan elimination with partial pivoting (the first
+    nonzero entry at or below the diagonal): step k scales the pivot row by
+    the pivot's inverse, which takes the pivot's place, and subtracts
+    multiples of that row from every other row; the row swaps are undone
+    as column swaps at the end. The steps run by panels K of PANEL columns
+    and delay their rank-1 updates (Dumas, Giorgi and Pernet, "Dense linear
+    algebra over word-size prime fields: the FFLAS and FFPACK packages",
+    ACM TOMS 35(3), 2008). A panel's steps run on a reduced copy of its
+    columns, with their row swaps also applied to the whole matrix, and
+    leave T[:, K] in the copy: T is the panel's row operations after its
+    swaps, and differs from I only in the columns K. Every other column
+    then takes the panel's steps at once, a += (T[:, K] - I[:, K]) @ a[K],
+    with both factors reduced to [0, p) and multiplied in float64, exact
+    since each entry sums PANEL products below p**2 (see _primes_for), and
+    the copy is written back over columns K.
+
+    Reduction is lazy: the whole matrix is reduced only in the panel's
+    columns and in the rows that enter the product, which only adds, so
+    every entry stays below one residue plus one product below p**2 per
+    step, n products in all for the n x n kernel (see _primes_for); inside
+    a panel only the pivot row and column are reduced at each step. Raises
+    _SingularModP if the matrix is singular modulo p.
     """
     n = a.shape[0]
-    assert n * p * p < 2**63
+    assert n * p * p < 2**63 and PANEL * p * p < 2**53
     a = a % p
-    update = np.empty_like(a)
     swaps = []
-    for k in range(n):
-        col = a[:, k] % p
-        nz = np.flatnonzero(col[k:])
-        if nz.size == 0:
-            raise _SingularModP
-        piv = k + int(nz[0])
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            col[[k, piv]] = col[[piv, k]]
-            swaps.append((k, piv))
-        inv = pow(int(col[k]), p - 2, p)
-        row = a[k] % p * inv % p
-        row[k] = inv
-        col[k] = 0
-        a[:, k] = 0
-        a[k] = row
-        a -= np.multiply.outer(col, row, out=update)
+    for k0 in range(0, n, PANEL):
+        k1 = min(k0 + PANEL, n)
+        panel = a[:, k0:k1] % p
+        outer = np.empty_like(panel)
+        for k in range(k0, k1):
+            col = panel[:, k - k0] % p
+            if col[k] == 0:
+                nz = np.flatnonzero(col[k:])
+                if nz.size == 0:
+                    raise _SingularModP
+                piv = k + int(nz[0])
+                a[[k, piv]] = a[[piv, k]]
+                panel[[k, piv]] = panel[[piv, k]]
+                col[[k, piv]] = col[[piv, k]]
+                swaps.append((k, piv))
+            inv = pow(int(col[k]), p - 2, p)
+            row = panel[k] % p * inv % p
+            row[k - k0] = inv
+            col[k] = 0
+            panel[:, k - k0] = 0
+            panel[k] = row
+            panel -= np.multiply.outer(col, row, out=outer)
+        panel %= p
+        # T[:, K] - I[:, K], with I[:, K] the columns K of the n x n identity
+        update = (panel - np.eye(n, k1 - k0, -k0, dtype=np.int64)) % p
+        rows = (a[k0:k1] % p).astype(np.float64)
+        a += (update.astype(np.float64) @ rows).astype(np.int64)
+        a[:, k0:k1] = panel
     for k, piv in reversed(swaps):
         a[:, [k, piv]] = a[:, [piv, k]]
     return a % p
@@ -318,8 +353,10 @@ def _dixon(rows, rhs, k: int, factor) -> tuple[list[int], int]:
             residue = (residue - times(xk)) // p  # exact: p divides it
             if digits == checkpoint or digits == MAX_DIGITS:
                 checkpoint *= 2
-                x = [_rational_reconstruct(int(v), p_power) for v in combined]
-                if None in x:
+                # stop at the first entry that does not reconstruct yet
+                fits = (_rational_reconstruct(int(v), p_power) for v in combined)
+                x = list(takewhile(lambda f: f is not None, fits))
+                if len(x) < len(combined):
                     continue
                 den = lcm(*(f.denominator for f in x))
                 num = [f.numerator * (den // f.denominator) for f in x]
@@ -400,9 +437,10 @@ def _factor_blocks(parts, p: int):
     both products with them are gathers, and W_N = S_N^{-1} Up_N is never
     formed. A solve is one forward sweep, z_N = S_N^{-1} y_N with y_N =
     b_N - Lo_N z_{N-1}, and one backward sweep, x_N = S_N^{-1} (y_N - Up_N
-    x_{N+1}): two matrix-vector products per block. No kernel here sums
-    more products than the largest block has rows, since a row of Lo_N or
-    Up_N has no more entries than the block it reaches.
+    x_{N+1}): two matrix-vector products per block. No int64 kernel here
+    sums more products than the largest block has rows, since a row of
+    Lo_N or Up_N has no more entries than the block it reaches, and the
+    inverses' float64 products sum PANEL (see _primes_for).
     """
     sizes = [len(d) for d, _, _ in parts]
     invs, los, ups = [], [], []

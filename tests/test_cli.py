@@ -420,6 +420,39 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, command, where):
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "command", [("mu", "--L", "3"), ("oracle", "--L", "3"), ("compare", "--L", "3")],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_path_is_refused_before_any_work(
+    monkeypatch, capsys, tmp_path, command, where
+):
+    from asep2l import ensemble, oracle
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the law was computed before --out was checked")
+
+    monkeypatch.setattr(ensemble, "stationary_mu", no_work)
+    monkeypatch.setattr(oracle, "stationary_exact", no_work)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    code = main([*command, *P_ARGS, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_failed_command_leaves_its_out_path_as_it_was(capsys, tmp_path):
+    pole = ["verify", "--identity", "basic", "--L", "2", "--q", "1/2", "--A", "4", "--B", "1"]
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    fresh = tmp_path / "fresh.json"
+    assert main([*pole, "--out", str(kept)]) == 3
+    assert main([*pole, "--out", str(fresh)]) == 3
+    capsys.readouterr()
+    assert kept.read_text() == "kept\n" and not fresh.exists()
+
+
 def test_closed_output_pipe_exits_quietly():
     # 20000 lines are far more than a pipe buffers, so the writer is still
     # writing when the reader goes away

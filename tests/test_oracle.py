@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from test_acceptance import AB_GRID, Q_GRID
 
+from asep2l import oracle
 from asep2l.ensemble import Distribution, stationary_mu
 from asep2l.errors import EnumerationCapExceeded, SingularSystem
 from asep2l.lattice import Occupation, enumerate_occupations
 from asep2l.oracle import (
     MAX_EVENTS,
+    PANEL,
     GeneratorMatrix,
     Rates,
     _integer_transpose,
@@ -37,6 +39,8 @@ POINTS = [
     ModelParams(F(9, 10), F(1), F(1)),
 ]
 ACCEPTANCE_GRID = [ModelParams(q, A, B) for q in Q_GRID for A, B in AB_GRID]
+# the largest p whose PANEL products of residues sum exactly in float64
+FLOAT_CAP = isqrt((2**53 - 1) // PANEL)
 
 
 def dense_stationary(g: GeneratorMatrix) -> Distribution:
@@ -78,6 +82,49 @@ def closure_generator(L: int, r: Rates) -> GeneratorMatrix:
             add(w | last, r.delta)
         rows.append(row)
     return GeneratorMatrix(L, tuple(rows))
+
+
+def reference_inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """The unblocked Gauss-Jordan kernel the blocked _inverse_mod_p replaced.
+
+    Step k swaps in the first nonzero entry at or below the diagonal of
+    column k, scales the pivot row by the pivot's inverse, which takes the
+    pivot's place, and subtracts multiples of that row from every other
+    row, all on the whole matrix; the row swaps are undone as column swaps
+    at the end. Only the pivot row and column are reduced at each step.
+    """
+    n = a.shape[0]
+    assert n * p * p < 2**63
+    a = a % p
+    update = np.empty_like(a)
+    swaps = []
+    for k in range(n):
+        col = a[:, k] % p
+        nz = np.flatnonzero(col[k:])
+        if nz.size == 0:
+            raise _SingularModP
+        piv = k + int(nz[0])
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            col[[k, piv]] = col[[piv, k]]
+            swaps.append((k, piv))
+        inv = pow(int(col[k]), p - 2, p)
+        row = a[k] % p * inv % p
+        row[k] = inv
+        col[k] = 0
+        a[:, k] = 0
+        a[k] = row
+        a -= np.multiply.outer(col, row, out=update)
+    for k, piv in reversed(swaps):
+        a[:, [k, piv]] = a[:, [piv, k]]
+    return a % p
+
+
+def random_mod_p(rng, n: int, p: int) -> np.ndarray:
+    """An n x n int64 matrix with entries drawn from [-p, p)."""
+    return np.array(
+        [[rng.randrange(-p, p) for _ in range(n)] for _ in range(n)], dtype=np.int64
+    )
 
 
 def integer_masses(dist: Distribution, dim: int) -> list[int]:
@@ -181,6 +228,36 @@ class TestExactSolvers:
             g = build_generator(L, rates_from_params(p))
             assert stationary_exact(g) == dense_stationary(g)
 
+    @pytest.mark.parametrize(
+        "p", [ModelParams(F(1, 2), F(1, 2), F(1)), ModelParams(F(1, 2), F(9), F(7))]
+    )
+    def test_matches_the_marginal_at_the_largest_size(self, p):
+        # a fan point (AB < 1) and a shock point: blocks of 495, 792 and
+        # 924 rows go through the mod-p kernel
+        g = build_generator(12, rates_from_params(p))
+        assert stationary_exact(g) == stationary_mu(12, p)
+
+    def test_reconstruction_stops_at_the_first_failing_entry(self, monkeypatch):
+        calls = []
+        real = oracle._rational_reconstruct
+
+        def counted(a, m):
+            calls.append((m, real(a, m)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(oracle, "_rational_reconstruct", counted)
+        p = ModelParams(F(1, 3), F(2), F(5))
+        g = build_generator(10, rates_from_params(p))
+        dist = stationary_exact(g)
+        checkpoints = list(dict.fromkeys(m for m, _ in calls))
+        assert len(checkpoints) > 1  # the first checkpoint fails
+        for m in checkpoints[:-1]:
+            results = [f for mm, f in calls if mm == m]
+            assert results[-1] is None and None not in results[:-1]
+        last = [f for mm, f in calls if mm == checkpoints[-1]]
+        assert len(last) == g.dim - 1 and None not in last
+        assert dist == stationary_mu(10, p)
+
     def test_particle_blocks_partition_the_states(self):
         for L in range(1, 9):
             blocks = particle_blocks(L)
@@ -272,17 +349,18 @@ class TestExactSolvers:
         with pytest.raises(ValueError):
             stationary_exact(GeneratorMatrix(2, tuple(rows)))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("n", [1, 2, 7, 31, 32, 33, 40, 64, 65, 100, 252])
     def test_inverse_mod_p_is_an_inverse(self, n):
         rng = random.Random(n)
         # the largest prime this size admits, where lazy reduction is tightest
         p = _primes_for(n)[0]
-        a = np.array([[rng.randrange(-p, p) for _ in range(n)] for _ in range(n)])
+        a = random_mod_p(rng, n, p)
         # a row swap is needed at the first step: column 0 is 0 above the last row
         a[:-1, 0] = 0
         a[-1, 0] = 3
         inv = _inverse_mod_p(a, p)
         assert inv.dtype == np.int64 and ((0 <= inv) & (inv < p)).all()
+        assert (inv == reference_inverse_mod_p(a, p)).all()
         exact = inv.astype(object) @ a.astype(object)
         assert ((exact % p) == np.eye(n, dtype=object)).all()
 
@@ -293,6 +371,43 @@ class TestExactSolvers:
             _inverse_mod_p(a, p)
         with pytest.raises(_SingularModP):
             _inverse_mod_p(np.zeros((1, 1), dtype=np.int64), p)
+
+    @pytest.mark.parametrize("n", [2, 40, 100])
+    def test_inverse_mod_p_swaps_at_every_early_step(self, n):
+        rng = random.Random(n + 1)
+        p = _primes_for(n)[0]
+        a = random_mod_p(rng, n, p)
+        h = n // 2
+        a[:h, :h] = 0  # the first h pivots all come from below row h - 1
+        assert (_inverse_mod_p(a, p) == reference_inverse_mod_p(a, p)).all()
+
+    def test_inverse_mod_p_swaps_inside_the_second_panel(self):
+        n = 100
+        rng = random.Random(33)
+        p = _primes_for(n)[0]
+        a = random_mod_p(rng, n, p)
+        a[:, PANEL + 1] = 0  # zero but in its last row: a swap at step 33
+        a[-1, PANEL + 1] = 5
+        assert (_inverse_mod_p(a, p) == reference_inverse_mod_p(a, p)).all()
+
+    @pytest.mark.parametrize("n", [3, 65, 100])
+    def test_inverse_mod_p_refuses_a_dependency_in_the_last_panel(self, n):
+        rng = random.Random(n + 2)
+        p = _primes_for(n)[0]
+        a = random_mod_p(rng, n, p)
+        # the last column is a combination of two others modulo p, and
+        # only the last step of the last panel can see it
+        a[:, -1] = (3 * a[:, 0] - 7 * a[:, n // 2] + p * a[:, 1]) % p
+        with pytest.raises(_SingularModP):
+            reference_inverse_mod_p(a, p)
+        with pytest.raises(_SingularModP):
+            _inverse_mod_p(a, p)
+
+    def test_inverse_mod_p_refuses_a_prime_above_the_float64_cap(self):
+        big = FLOAT_CAP + 2 - FLOAT_CAP % 2  # odd, and above the cap
+        assert PANEL * big * big >= 2**53 and 4 * big * big < 2**63
+        with pytest.raises(AssertionError):
+            _inverse_mod_p(np.eye(4, dtype=np.int64), big)
 
     @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
     def test_certificate_accepts_only_the_stationary_masses(self, p):
@@ -314,12 +429,13 @@ class TestExactSolvers:
             primes = _primes_for(k)
             assert len(set(primes)) == 5
             for p in primes:
-                assert p <= 1 << 25 and k * p * p < 2**63
+                assert p <= FLOAT_CAP and k * p * p < 2**63
+                assert PANEL * p * p < 2**53
                 assert all(p % d for d in range(2, isqrt(p) + 1))
 
     @pytest.mark.parametrize("k", [1, 924, 1 << 13, 1 << 30])
     def test_primes_are_the_largest_below_the_bound(self, k):
-        top = min(1 << 25, isqrt((2**63 - 1) // k))
+        top = min(FLOAT_CAP, isqrt((2**63 - 1) // k))
         expected = []
         n = top
         while len(expected) < 5:
