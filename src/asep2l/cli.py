@@ -158,10 +158,6 @@ def _cmd_oracle(args) -> int:
     p = _params(args)
     r = oracle.rates_from_params(p)
     if args.simulate:
-        # the library flags such a run insufficient; its densities would be
-        # 0.0 and read as an empty lattice
-        if args.horizon <= 0:
-            raise ValueError(f"--horizon must be positive, got {args.horizon}")
         result = oracle.gillespie_simulate(
             args.L,
             r,

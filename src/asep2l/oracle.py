@@ -11,22 +11,26 @@ The stationary distribution is the one-dimensional nullspace of the
 transposed generator, normalized to total mass one. Bulk hops keep the
 particle number N and boundary moves change it by one, so with the states
 ordered by N the transposed generator is block tridiagonal, with blocks
-of size C(L, N). stationary_exact pins the empty state to 1, eliminates
-block by block modulo a word-sized prime (Schur complements, each
-inverted by one Gauss-Jordan kernel), and lifts that elimination
-p-adically to the exact rational solution (Dixon's method with rational
-reconstruction). This costs sum_N C(L, N)**3 operations per prime
-instead of 8**L for one dense elimination, and each p-adic digit costs
-two matrix-vector products per block. The kernel eliminates by panels of
-PANEL columns and applies each panel to the rest of the matrix as one
-float64 (BLAS) product of residues, exact because the prime is kept below
-2**24 (PANEL * p**2 < 2**53); it accumulates in int64 and reduces lazily,
-under the bound n * p**2 < 2**63 for an n x n block. The solution is
-kept as integer masses over one denominator and certified exactly
-against every column of the integer generator, x @ G = 0, before it is
-returned; solvability modulo the prime certifies that the nullspace is
-one-dimensional. The dense solver solve_dixon is kept as the
-small-system cross-check.
+of size C(L, N). stationary_exact pins the empty state to 1 and hands
+the rest to one solver for block-tridiagonal integer systems,
+_solve_blocks. It holds the system as one list of sparse rows, whose
+bands Lo (to the previous block), D (to its own) and Up (to the next)
+are column ranges of those rows; it eliminates block by block modulo a
+word-sized prime, inverting each Schur complement S_{t+1} = D_{t+1} -
+Lo_{t+1} S_t^{-1} Up_t by one Gauss-Jordan kernel, and lifts that
+elimination p-adically to the exact rational solution (Dixon's method
+with rational reconstruction). This costs sum_N C(L, N)**3 operations
+per prime instead of 8**L for one dense elimination, and each p-adic
+digit costs two matrix-vector products per block. The kernel eliminates
+by panels of PANEL columns and applies each panel to the rest of the
+matrix as one float64 (BLAS) product of residues, exact because the
+prime is kept below 2**24 (PANEL * p**2 < 2**53); it accumulates in
+int64 and reduces lazily, under the bound n * p**2 < 2**63 for an n x n
+block. The solution is kept as integer masses over one denominator and
+certified exactly against every column of the integer generator, x @ G
+= 0, before it is returned; solvability modulo the prime certifies that
+the nullspace is one-dimensional. A single block is one dense inverse:
+that case, solve_dixon, is kept as the small-system cross-check.
 
 The Gillespie simulator at the bottom is the only code in the package
 whose results are floating point (the kernel's float64 products are
@@ -285,20 +289,16 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _ell(rows: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse integer rows, zero-padded to one width: (columns, exact values)."""
-    width = max(map(len, rows), default=0)
-    idx = np.zeros((len(rows), width), dtype=np.int64)
-    val = np.zeros((len(rows), width), dtype=object)
-    for i, row in enumerate(rows):
-        idx[i, : len(row)] = list(row)
-        val[i, : len(row)] = list(row.values())
+def _ell(r: np.ndarray, c: np.ndarray, v: np.ndarray, n: int):
+    """Entries (row r, column c, value v) as n zero-padded rows: (columns, values)."""
+    order = np.argsort(r, kind="stable")
+    counts = np.bincount(r, minlength=n)
+    pos = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.zeros((n, counts.max(initial=0)), dtype=np.int64)
+    val = np.zeros(idx.shape, dtype=v.dtype)
+    idx[r[order], pos] = c[order]
+    val[r[order], pos] = v[order]
     return idx, val
-
-
-def _ell_mod_p(rows: list[dict[int, int]], p: int) -> tuple[np.ndarray, np.ndarray]:
-    idx, val = _ell(rows)
-    return idx, (val % p).astype(np.int64)
 
 
 def _gather(idx: np.ndarray, val: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -306,44 +306,104 @@ def _gather(idx: np.ndarray, val: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("rk,rk...->r...", val, x[idx])
 
 
-def _dense_mod_p(rows: list[dict[int, int]], width: int, p: int) -> np.ndarray:
-    a = np.zeros((len(rows), width), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            a[i, j] = v % p
-    return a
-
-
 # p-adic digits lifted per prime before the next prime is tried
 MAX_DIGITS = 4096
 
 
-def _dixon(rows, rhs, k: int, factor) -> tuple[list[int], int]:
-    """Solve a nonsingular integer system exactly by p-adic lifting.
+def _solve_blocks(rows: list[dict[int, int]], rhs: list[int], sizes: list[int]):
+    """Solve a nonsingular block-tridiagonal integer system exactly.
 
-    Dixon, "Exact solution of linear equations using p-adic expansions",
-    Numer. Math. 40 (1982). `factor(p)` factors the system over GF(p),
-    with kernels that sum at most k products (see _primes_for), and
-    returns its solver; it raises _SingularModP if the system is singular
-    modulo p, and the next prime is tried. Each p-adic digit costs one
-    mod-p solve and one exact product with the system. Entries are
-    recovered by rational reconstruction at doubling checkpoints, and a
-    candidate is returned only once it satisfies the system exactly, as
-    integer numerators over their least common denominator.
+    The unknowns fall into consecutive blocks of the given sizes, and a row
+    of block t may reach only the columns of blocks t - 1, t and t + 1; any
+    other entry raises ValueError. The rows become one list of entries
+    (row, column, value), padded once into sparse rows for the exact
+    products. The bands of block t are column ranges of its rows: D_t
+    (to block t itself), held dense, and Lo_t (to block t - 1) and Up_t
+    (to block t + 1), compacted into sparse rows of their own.
+
+    Over GF(p) the system is eliminated block by block: the Schur
+    complements are S_1 = D_1 and S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1}
+    Up_t, and each S_t^{-1} is kept mod p (_inverse_mod_p), so a single
+    block is one dense inverse. Both products with Lo and Up are gathers
+    (for the generator they hold only boundary moves, at most two per row
+    and per column), the second through the transpose of Up_t, and W_t =
+    S_t^{-1} Up_t is never formed. A solve is one forward sweep, z_t =
+    S_t^{-1} y_t with y_t = b_t - Lo_t z_{t-1}, and one backward sweep,
+    x_t = S_t^{-1} (y_t - Up_t x_{t+1}): two matrix-vector products per
+    block. No int64 kernel here sums more products than the largest block
+    has rows, since a row of Lo_t or Up_t, or of the transpose of Up_t, has
+    no more entries than the block it reaches, and the inverses' float64
+    products sum PANEL (see _primes_for).
+
+    That elimination is lifted p-adically (Dixon, "Exact solution of
+    linear equations using p-adic expansions", Numer. Math. 40, 1982):
+    each p-adic digit costs one mod-p solve and one exact product with the
+    system. If the system is singular modulo p, the next prime is tried.
+    Entries are recovered by rational reconstruction at doubling
+    checkpoints, and a candidate is returned only once it satisfies the
+    system exactly, as integer numerators over their least common
+    denominator. Raises SingularSystem if every prime fails.
     """
-    idx, val = _ell(rows)
+    n = len(rows)
+    bounds = np.cumsum([0, *sizes])
+    r = np.repeat(np.arange(n), [len(row) for row in rows])
+    c = np.fromiter(chain.from_iterable(rows), np.int64, len(r))
+    v = np.fromiter(chain.from_iterable(row.values() for row in rows), object, len(r))
+    br, bc = (np.searchsorted(bounds, a, side="right") - 1 for a in (r, c))
+    if (abs(bc - br) > 1).any():
+        raise ValueError("system is not block tridiagonal")
+    idx, val = _ell(r, c, v, n)
     rhs = np.array(rhs, dtype=object)
 
     def times(x):  # the exact product of the system with x
         return (val * x[idx]).sum(axis=1)
 
-    for p in _primes_for(k):
+    def factor(p):  # the elimination over GF(p); returns its solver
+        vp = (v % p).astype(np.int64)
+        invs, los, ups = [], [], []
+
+        def band(t, u):  # block t to block u, with rows and columns local
+            m = (br == t) & (bc == u)
+            return r[m] - bounds[t], c[m] - bounds[u], vp[m]
+
+        def schur(t):  # S_t, returned so that no reference outlives its inversion
+            s = np.zeros((sizes[t], sizes[t]), dtype=np.int64)
+            i, j, x = band(t, t)
+            s[i, j] = x
+            if t:
+                los.append(_ell(*band(t, t - 1), sizes[t]))
+                i, j, x = band(t - 1, t)
+                ups.append(_ell(i, j, x, sizes[t - 1]))
+                lo_inv = _gather(*los[-1], invs[-1])
+                lo_inv %= p
+                s -= _gather(*_ell(j, i, x, sizes[t]), lo_inv.T).T
+            return s
+
+        for t in range(len(sizes)):
+            invs.append(_inverse_mod_p(schur(t), p))
+
+        def solve(b):
+            ys, z = [], None
+            for t, inv in enumerate(invs):
+                y = b[bounds[t] : bounds[t + 1]]
+                if t:
+                    y = (y - _gather(*los[t - 1], z)) % p
+                ys.append(y)
+                z = inv @ y % p
+            x = [z]
+            for t in reversed(range(len(invs) - 1)):
+                x.append(invs[t] @ ((ys[t] - _gather(*ups[t], x[-1])) % p) % p)
+            return np.concatenate(x[::-1])
+
+        return solve
+
+    for p in _primes_for(max(sizes)):
         try:
             solve = factor(p)
         except _SingularModP:
             continue
         residue = rhs
-        combined = np.zeros(len(rows), dtype=object)
+        combined = np.zeros(n, dtype=object)
         p_power = 1
         checkpoint = 8
         for digits in range(1, MAX_DIGITS + 1):
@@ -354,7 +414,7 @@ def _dixon(rows, rhs, k: int, factor) -> tuple[list[int], int]:
             if digits == checkpoint or digits == MAX_DIGITS:
                 checkpoint *= 2
                 # stop at the first entry that does not reconstruct yet
-                fits = (_rational_reconstruct(int(v), p_power) for v in combined)
+                fits = (_rational_reconstruct(int(e), p_power) for e in combined)
                 x = list(takewhile(lambda f: f is not None, fits))
                 if len(x) < len(combined):
                     continue
@@ -369,106 +429,13 @@ def _dixon(rows, rhs, k: int, factor) -> tuple[list[int], int]:
 def solve_dixon(rows: list[dict[int, int]], rhs: list[int]) -> list[Fraction]:
     """Solve a nonsingular integer system exactly over one dense inverse mod p.
 
-    This is the small-system cross-check for the block solver inside
-    stationary_exact: it shares the lifting and the mod-p kernel but not
-    the elimination by blocks, and costs O(n**3) per prime.
+    This is the one-block case of _solve_blocks, and the small-system
+    cross-check for the block solve inside stationary_exact: it shares the
+    lifting and the mod-p kernel but never runs the elimination by blocks,
+    and costs O(n**3) per prime.
     """
-    n = len(rows)
-
-    def factor(p):
-        inv = _inverse_mod_p(_dense_mod_p(rows, n, p), p)
-        return lambda b: inv @ b % p
-
-    num, den = _dixon(rows, rhs, n, factor)
+    num, den = _solve_blocks(rows, rhs, [len(rows)])
     return [Fraction(v, den) for v in num]
-
-
-def _pinned_blocks(cols, blocks):
-    """Cut the transposed generator, with the empty word pinned, into blocks.
-
-    The unknowns are the words with N >= 1 in block order; x(empty) = 1
-    moves the empty word's column to the right-hand side, and its own
-    equation is dropped. Returns the rows of that system over the
-    unknowns, its right-hand side, and for N = 1..L the rows of D_N (to
-    block N), Lo_N (to N - 1) and Up_N (to N + 1), each with columns
-    local to the block it reaches.
-    """
-    index = {w: k - 1 for k, w in enumerate(chain.from_iterable(blocks))}
-    count, local = [0] * len(index), [0] * len(index)
-    for n, block in enumerate(blocks):
-        for a, w in enumerate(block):
-            count[w], local[w] = n, a
-    rows, rhs, parts = [], [], []
-    for n, block in enumerate(blocks[1:], start=1):
-        d, lo, up = [], [], []
-        for w in block:
-            band = ({}, {}, {})  # Lo, D, Up rows of this word
-            for i, v in cols[w].items():
-                step = count[i] - n
-                if abs(step) > 1:
-                    raise ValueError(
-                        "generator is not block tridiagonal in the particle number"
-                    )
-                if i:
-                    band[step + 1][local[i]] = v
-            lo.append(band[0])
-            d.append(band[1])
-            up.append(band[2])
-            rows.append({index[i]: v for i, v in cols[w].items() if i})
-            rhs.append(-cols[w].get(0, 0))
-        parts.append((d, lo, up))
-    return rows, rhs, parts
-
-
-def _columns(rows: list[dict[int, int]], width: int) -> list[dict[int, int]]:
-    cols = [{} for _ in range(width)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            cols[j][i] = v
-    return cols
-
-
-def _factor_blocks(parts, p: int):
-    """Block elimination of the pinned system over GF(p); returns its solver.
-
-    The Schur complements are S_1 = D_1 and S_{N+1} = D_{N+1} - Lo_{N+1}
-    S_N^{-1} Up_N, and each S_N^{-1} is kept mod p (_inverse_mod_p). Lo and
-    Up hold only boundary entries, at most two per row and per column, so
-    both products with them are gathers, and W_N = S_N^{-1} Up_N is never
-    formed. A solve is one forward sweep, z_N = S_N^{-1} y_N with y_N =
-    b_N - Lo_N z_{N-1}, and one backward sweep, x_N = S_N^{-1} (y_N - Up_N
-    x_{N+1}): two matrix-vector products per block. No int64 kernel here
-    sums more products than the largest block has rows, since a row of
-    Lo_N or Up_N has no more entries than the block it reaches, and the
-    inverses' float64 products sum PANEL (see _primes_for).
-    """
-    sizes = [len(d) for d, _, _ in parts]
-    invs, los, ups = [], [], []
-    for t, (d, lo, up) in enumerate(parts):
-        los.append(_ell_mod_p(lo, p))
-        ups.append(_ell_mod_p(up, p))
-        s = _dense_mod_p(d, sizes[t], p)
-        if t:
-            lo_inv = _gather(*los[t], invs[-1]) % p
-            up_cols = _ell_mod_p(_columns(parts[t - 1][2], sizes[t]), p)
-            s = (s - _gather(*up_cols, lo_inv.T).T) % p
-        invs.append(_inverse_mod_p(s, p))
-    bounds = np.cumsum([0] + sizes)
-
-    def solve(b):
-        ys, z = [], None
-        for t, inv in enumerate(invs):
-            y = b[bounds[t] : bounds[t + 1]]
-            if t:
-                y = (y - _gather(*los[t], z)) % p
-            ys.append(y)
-            z = inv @ y % p
-        x = [z]
-        for t in reversed(range(len(invs) - 1)):
-            x.append(invs[t] @ ((ys[t] - _gather(*ups[t], x[-1])) % p) % p)
-        return np.concatenate(x[::-1])
-
-    return solve
 
 
 def _is_stationary(cols, masses: list[int]) -> bool:
@@ -487,11 +454,12 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
 
     With states ordered by particle number (particle_blocks) the
     transposed generator is block tridiagonal. The empty state is pinned,
-    x(empty) = 1, and its equation dropped; the equations sum to zero, so
-    it is redundant. The remaining square system is solved exactly by
-    p-adic lifting over a block elimination mod p (_factor_blocks). The
-    solution is kept as integer masses over the least common denominator
-    of its entries, which is the empty word's mass.
+    x(empty) = 1: its column moves to the right-hand side and its equation
+    is dropped; the equations sum to zero, so it is redundant. The
+    remaining square system is solved exactly by _solve_blocks, with one
+    block per particle number N >= 1. The solution is kept as integer
+    masses over the least common denominator of its entries, which is the
+    empty word's mass.
 
     The pin is safe for every generator build_generator makes: alpha =
     1/(1+A) > 0 and beta = 1/(1+B) > 0, so the chain is irreducible and
@@ -505,12 +473,18 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     before the law is returned.
     """
     blocks = particle_blocks(g.L)
+    words = list(chain.from_iterable(blocks))
     cols = _integer_transpose(g)
-    rows, rhs, parts = _pinned_blocks(cols, blocks)
-    k = max(len(d) for d, _, _ in parts)
-    tail, den = _dixon(rows, rhs, k, lambda p: _factor_blocks(parts, p))
+    # the solver checks the pinned system; the moves out of and into the
+    # empty word, which the pin takes out of it, must reach N = 1
+    if any(w.bit_count() > 1 for w in chain(g.rows[0], cols[0])):
+        raise ValueError("generator is not block tridiagonal in the particle number")
+    index = {w: k - 1 for k, w in enumerate(words)}  # the empty word -> -1
+    rows = [{index[i]: v for i, v in cols[w].items()} for w in words[1:]]
+    rhs = [-row.pop(-1, 0) for row in rows]
+    tail, den = _solve_blocks(rows, rhs, list(map(len, blocks[1:])))
     masses = [0] * g.dim
-    for w, m in zip(chain.from_iterable(blocks), [den] + tail):
+    for w, m in zip(words, [den] + tail):
         masses[w] = m
     if not _is_stationary(cols, masses):
         raise SingularSystem("solution is not a stationary law of the generator")
@@ -531,9 +505,7 @@ MAX_EVENTS = 10 ** 7
 class SimulationResult(Record):
     """Time-averaged occupation frequencies from an event-driven run."""
 
-    __slots__ = (
-        "L", "observed_time", "steps", "site_density", "config_freq", "insufficient"
-    )
+    __slots__ = ("L", "observed_time", "steps", "site_density", "config_freq")
 
     def __init__(
         self,
@@ -542,9 +514,8 @@ class SimulationResult(Record):
         steps: int,
         site_density: tuple[float, ...],
         config_freq: dict | None,
-        insufficient: bool,
     ):
-        self._init(L, observed_time, steps, site_density, config_freq, insufficient)
+        self._init(L, observed_time, steps, site_density, config_freq)
 
 
 def gillespie_simulate(
@@ -557,19 +528,19 @@ def gillespie_simulate(
 ) -> SimulationResult:
     """Exponential-clock simulation of the process; reproducible per seed.
 
-    The run lasts burn_in + horizon time units, so both must be finite and
-    burn_in nonnegative, and that time at the largest total rate out of a
-    state may not exceed MAX_EVENTS events; a horizon <= 0 observes nothing
-    and is flagged insufficient.
+    The run lasts burn_in + horizon time units, so both must be finite,
+    the horizon positive (a horizon <= 0 observes nothing) and burn_in
+    nonnegative, and that time at the largest total rate out of a state may
+    not exceed MAX_EVENTS events.
     """
     admit("simulation", L, max_L)
     if L < 1:
         raise ValueError("simulation needs L >= 1")
-    if not isfinite(horizon):
-        raise ValueError(f"horizon must be finite, got {horizon}")
+    if not (isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not (isfinite(burn_in) and burn_in >= 0):
         raise ValueError(f"burn_in must be finite and nonnegative, got {burn_in}")
-    t_end = burn_in + max(horizon, 0.0)
+    t_end = burn_in + horizon
     top_rate = (L - 1) * max(1, r.q) + max(r.alpha, r.gamma) + max(r.beta, r.delta)
     if t_end * top_rate > MAX_EVENTS:
         raise ValueError(
@@ -618,23 +589,17 @@ def gillespie_simulate(
         w = target
         steps += 1
 
-    observed = max(horizon, 0.0)
-    insufficient = observed <= 0.0
     freq = None
-    if track_configs and not insufficient:
+    if track_configs:
         freq = {  # the visited states, in enumerate_occupations order
-            s: config_time[s.word] / observed
+            s: config_time[s.word] / horizon
             for s in enumerate_occupations(L)
             if s.word in config_time
         }
-    density = tuple(
-        (s / observed if not insufficient else 0.0) for s in site_time
-    )
     return SimulationResult(
         L=L,
-        observed_time=observed,
+        observed_time=horizon,
         steps=steps,
-        site_density=density,
+        site_density=tuple(s / horizon for s in site_time),
         config_freq=freq,
-        insufficient=insufficient,
     )

@@ -50,6 +50,7 @@ from .lattice import (
 from .qcalc import (
     QPolynomial,
     Rational,
+    _action_tables,
     dq_scaled,
     pochhammer_polynomial,
     q_number,
@@ -276,8 +277,9 @@ def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
 
 
 def clear_weight_caches() -> None:
-    """Drop memoized composition polynomials, values and rescaling factors
-    (mainly for tests)."""
+    """Drop memoized composition polynomials, values, rescaling factors and
+    the q-difference tables under them (mainly for tests)."""
+    _action_tables.cache_clear()
     _suffix_elements.clear()
     _w_value.cache_clear()
     _tilde_scale.cache_clear()

@@ -17,7 +17,7 @@ from asep2l.lattice import (
     enumerate_paths,
     path_of,
 )
-from asep2l.qcalc import QPolynomial, poly_eval, q_factorial, q_number
+from asep2l.qcalc import QPolynomial, _action_tables, poly_eval, q_factorial, q_number
 from asep2l.weights import (
     ModelParams,
     clear_weight_caches,
@@ -72,6 +72,7 @@ class TestCompositionPolynomial:
     def test_operator_equals_series(self, q):
         # q and 2/3 interleave in one memo, which must keep them apart
         clear_weight_caches()
+        assert _action_tables.cache_info().currsize == 0
         for L in range(7):
             for sigma in compositions_of(L + 1):
                 for r in (q, F(2, 3)):
