@@ -7,8 +7,8 @@ its composition and the heights of its ends above its minimum. The
 marginal therefore weighs each distinct such key once, puts the 3**L path
 weights over one common denominator as integers, and folds them into the
 2**L top-layer masses one site at a time: up steps force bit 1, down steps
-bit 0, and level steps add to both. That is O(3**L) integer additions,
-with one division per top layer when the law is normalized.
+bit 0, and level steps add to both. That is O(3**L) integer additions, and
+the law keeps those masses over their total: it divides only when read.
 _path_mass_into, which spreads one path over its 2**H top layers with
 Fractions, is kept as the slow reference for the path law's pushforward.
 
@@ -38,25 +38,26 @@ from .weights import ModelParams, _extend, _key_weights, q_weight
 
 
 class Distribution:
-    """Ordered exact probability distribution over hashable states."""
+    """Ordered exact law over hashable states: nonnegative masses (int or
+    Fraction, not all zero) over their total; probability i is masses[i]/total."""
 
-    __slots__ = ("states", "probs", "_index")
+    __slots__ = ("states", "masses", "total", "_index")
 
-    def __init__(self, states: Iterable, probs: Iterable[Fraction]):
+    def __init__(self, states: Iterable, masses: Iterable):
         st = tuple(states)
-        pr = tuple(Fraction(p) for p in probs)
-        if len(st) != len(pr):
-            raise ValueError("states and probabilities differ in length")
-        if any(p < 0 for p in pr):
-            raise ValueError("probabilities must be nonnegative")
-        if sum(pr, Fraction(0)) != 1:
-            raise ValueError("probabilities must sum to exactly 1")
+        ms = tuple(masses)
+        if len(st) != len(ms):
+            raise ValueError("states and masses differ in length")
+        if any(m < 0 for m in ms):
+            raise ValueError("masses must be nonnegative")
+        total = sum(ms)
+        if total == 0:
+            raise ValueError("masses must not all be zero")
         index = {s: i for i, s in enumerate(st)}
         if len(index) != len(st):
             raise ValueError("duplicate states")
-        object.__setattr__(self, "states", st)
-        object.__setattr__(self, "probs", pr)
-        object.__setattr__(self, "_index", index)
+        for name, value in zip(self.__slots__, (st, ms, total, index)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Distribution is immutable")
@@ -67,24 +68,27 @@ class Distribution:
     def __contains__(self, state) -> bool:
         return state in self._index
 
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(m, self.total) for m in self.masses)
+
     def prob(self, state) -> Fraction:
-        return self.probs[self._index[state]]
+        return Fraction(self.masses[self._index[state]], self.total)
 
     def items(self):
         return zip(self.states, self.probs)
 
     def support(self) -> tuple:
-        return tuple(s for s, p in self.items() if p > 0)
+        return tuple(s for s, m in zip(self.states, self.masses) if m > 0)
 
     def as_dict(self) -> dict:
         return dict(self.items())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Distribution)
-            and self.states == other.states
-            and self.probs == other.probs
-        )
+        if not isinstance(other, Distribution) or self.states != other.states:
+            return False
+        t, u = self.total, other.total
+        return all(m * u == n * t for m, n in zip(self.masses, other.masses))
 
     def __hash__(self):
         return hash(("Distribution", self.states, self.probs))
@@ -93,24 +97,18 @@ class Distribution:
         return f"Distribution(n={len(self)})"
 
 
-def _law(states: list, masses: list[Fraction | int]) -> Distribution:
-    """Law over states, proportional to their integer or Fraction masses."""
-    total = sum(masses)
-    return Distribution(states, [Fraction(m, total) for m in masses])
-
-
 def occupation_law(L: int, mass: dict[int, Fraction | int]) -> Distribution:
     """Law over all 2**L occupations in enumeration order, proportional to
     mass[word]; words absent from mass get probability 0."""
     states = list(enumerate_occupations(L))
-    return _law(states, [mass.get(s.word, 0) for s in states])
+    return Distribution(states, [mass.get(s.word, 0) for s in states])
 
 
 def two_layer_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
     """Exact law on pairs (tau, xi), proportional to the weight Q."""
     admit("pairs", L, max_L)
     pairs = list(enumerate_pairs(L))
-    return _law(pairs, [q_weight(tau, xi, p) for tau, xi in pairs])
+    return Distribution(pairs, [q_weight(tau, xi, p) for tau, xi in pairs])
 
 
 def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None:
@@ -179,7 +177,7 @@ def stationary_mu(L: int, p: ModelParams, max_L: int | None = None) -> Distribut
     """Stationary measure of the exclusion process as the top marginal."""
     admit("marginal", L, max_L)
     weights, _ = _path_weights(L, p)
-    return _law(list(enumerate_occupations(L)), _spread(weights, L))
+    return Distribution(list(enumerate_occupations(L)), _spread(weights, L))
 
 
 class PhiTable(Record, frozen=True):
@@ -194,7 +192,8 @@ class PhiTable(Record, frozen=True):
         return self.values[tau]
 
     def normalized(self) -> Distribution:
-        return occupation_law(self.L, {s.word: v for s, v in self.values.items()})
+        scale = self.params.tilde_scale(self.L)  # negative when AB q**2 > 1
+        return occupation_law(self.L, {s.word: v / scale for s, v in self.values.items()})
 
 
 def phi_table(L: int, p: ModelParams, max_L: int | None = None) -> PhiTable:
@@ -213,22 +212,22 @@ def path_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
     admit("marginal", L, max_L)
     weights, _ = _path_weights(L, p)
     paths = list(enumerate_paths(L))
-    return _law(paths, [w << g.horizontal for w, g in zip(weights, paths)])
+    return Distribution(paths, [w << g.horizontal for w, g in zip(weights, paths)])
 
 
 def top_marginal(pairs: Distribution) -> Distribution:
     """Project a distribution over (tau, xi) pairs onto the top layer."""
-    acc: dict[int, Fraction] = {}
-    for (tau, _), pr in pairs.items():
-        acc[tau.word] = acc.get(tau.word, Fraction(0)) + pr
+    acc: dict = {}
+    for (tau, _), m in zip(pairs.states, pairs.masses):
+        acc[tau.word] = acc.get(tau.word, 0) + m
     return occupation_law(pairs.states[0][0].length, acc)
 
 
 def path_law_top_marginal(paths: Distribution) -> Distribution:
     """Push the path law through the level-step coin flips, exactly."""
     table: dict[int, Fraction] = {}
-    for gamma, pr in paths.items():
-        _path_mass_into(table, gamma, pr / (1 << gamma.horizontal))
+    for gamma, m in zip(paths.states, paths.masses):
+        _path_mass_into(table, gamma, Fraction(m, 1 << gamma.horizontal))
     return occupation_law(paths.states[0].length, table)
 
 
@@ -267,4 +266,4 @@ def duchi_distribution(L: int, A, B, max_L: int | None = None) -> Distribution:
     """Normalized comparison measure over the Motzkin pairs."""
     admit("pairs", L, max_L)
     pairs = [pair for pair in enumerate_pairs(L) if is_motzkin(path_of(*pair))]
-    return _law(pairs, [duchi_weight(tau, xi, A, B) for tau, xi in pairs])
+    return Distribution(pairs, [duchi_weight(tau, xi, A, B) for tau, xi in pairs])

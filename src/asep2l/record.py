@@ -23,8 +23,9 @@ class Record:
     """Base of a record whose fields are its __slots__, in order.
 
     Declare a subclass with frozen=True to make its instances hashable
-    by their fields and immutable once __init__ has run. Every subclass's constructor takes its fields positionally in
-    __slots__ order, which pickling relies on.
+    by their fields and immutable once __init__ has run. Every subclass's
+    constructor takes its fields positionally in __slots__ order, which
+    pickling relies on.
     """
 
     __slots__ = ()

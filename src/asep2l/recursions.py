@@ -34,8 +34,8 @@ in a dict of its own that is dropped when it returns.
 
 Each public checker admits its size against the `verify` row of MAX_L
 (the bulk checker the long pair's L1 + L2 + 2, after refusing a negative
-part), as the command does for its L; _verify and the private checkers it runs admit nothing, so that
-`verify --max-L` reaches them.
+part), as the command does for its L; _verify and the private checkers it
+runs admit nothing, so that `verify --max-L` reaches them.
 """
 
 from __future__ import annotations

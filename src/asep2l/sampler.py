@@ -128,8 +128,6 @@ def empirical_compare(batch: SampleBatch, exact: Distribution) -> CompareReport:
     The batch may be compared against a law over pairs or, when the exact
     states are single occupations, against the top layer of each draw.
     """
-    if len(exact) == 0:
-        raise ValueError("empty exact distribution")
     if isinstance(exact.states[0], Occupation):
         observed = [tau for tau, _ in batch.draws]
     else:
@@ -141,12 +139,13 @@ def empirical_compare(batch: SampleBatch, exact: Distribution) -> CompareReport:
         counts[state] = counts.get(state, 0) + 1
     n = len(observed)
     zs = {}
-    for state, prob in exact.items():
+    total = exact.total
+    for state, m in zip(exact.states, exact.masses):
         c = counts.get(state, 0)
-        if prob == 0 or prob == 1:
-            zs[state] = 0.0 if Fraction(c, max(n, 1)) == prob else math.inf
+        if m == 0 or m == total:
+            zs[state] = 0.0 if c * total == m * max(n, 1) else math.inf
             continue
-        p_f = float(prob)
+        p_f = float(Fraction(m, total))
         freq = c / n if n else 0.0
         zs[state] = (freq - p_f) * math.sqrt(n) / math.sqrt(p_f * (1.0 - p_f))
     return CompareReport(n=n, z_scores=zs)

@@ -1,6 +1,7 @@
 """Tests for the two-layer ensemble, marginals, and comparison measure."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -29,6 +30,7 @@ from asep2l.lattice import (
     is_motzkin,
     path_of,
 )
+from asep2l.oracle import build_generator, rates_from_params, stationary_exact
 from asep2l.weights import ModelParams, path_weight, q_weight
 
 GRID = [
@@ -44,20 +46,69 @@ GRID = [
 
 class TestDistribution:
     def test_validates_sum(self):
+        # masses need not sum to 1: they are normalized by their total
+        d = Distribution(["a", "b"], [F(1, 2), F(1, 3)])
+        assert d.total == F(5, 6)
+        assert d.probs == (F(3, 5), F(2, 5))
+        for masses in ([0, F(0)], [0, 0]):
+            with pytest.raises(ValueError):
+                Distribution(["a", "b"], masses)
         with pytest.raises(ValueError):
-            Distribution(["a", "b"], [F(1, 2), F(1, 3)])
+            Distribution([], [])
 
     def test_validates_negatives_and_duplicates(self):
-        with pytest.raises(ValueError):
-            Distribution(["a", "b"], [F(3, 2), F(-1, 2)])
-        with pytest.raises(ValueError):
-            Distribution(["a", "a"], [F(1, 2), F(1, 2)])
+        for states, masses in (
+            (["a", "b"], [F(3, 2), F(-1, 2)]),
+            (["a", "b"], [2, -1]),
+            (["a", "a"], [F(1, 2), F(1, 2)]),
+            (["a", "a"], [1, 1]),
+            (["a", "b"], [1]),  # and a length mismatch
+        ):
+            with pytest.raises(ValueError):
+                Distribution(states, masses)
 
     def test_lookup_and_support(self):
         d = Distribution(["a", "b", "c"], [F(1, 2), F(0), F(1, 2)])
         assert d.prob("a") == F(1, 2)
         assert d.support() == ("a", "c")
         assert "b" in d and "z" not in d
+
+    def test_views_divide_the_masses_by_their_total(self):
+        d = Distribution("abc", [3, 0, 9])
+        assert (d.masses, d.total) == ((3, 0, 9), 12)
+        assert d.probs == (F(1, 4), F(0), F(3, 4))
+        assert d.prob("c") == F(3, 4)
+        assert list(d.items()) == list(zip("abc", d.probs))
+        assert d.as_dict() == {"a": F(1, 4), "b": F(0), "c": F(3, 4)}
+        assert d.support() == ("a", "c")  # masses of 0 are outside it
+
+    def test_proportional_masses_are_one_law(self):
+        a = Distribution("ab", [2, 4])
+        b = Distribution("ab", [1, 2])
+        c = Distribution("ab", [F(1, 6), F(1, 3)])
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert a.probs == b.probs == c.probs == (F(1, 3), F(2, 3))
+
+    def test_one_mass_more_is_another_law(self):
+        a = Distribution("abc", [2, 4, 6])
+        for i in range(3):
+            bumped = [2, 4, 6]
+            bumped[i] += 1
+            assert a != Distribution("abc", bumped)
+        assert a != Distribution("abd", [2, 4, 6])
+        assert a != Distribution("ab", [2, 4])
+        assert a != "abc"
+
+    @pytest.mark.parametrize("p", GRID[:4])
+    def test_exact_laws_keep_integer_masses(self, p):
+        for L in range(1, 6):
+            pi = stationary_exact(build_generator(L, rates_from_params(p)))
+            mu = stationary_mu(L, p)
+            for law in (pi, mu):
+                assert all(type(m) is int for m in (*law.masses, law.total))
+            assert all(gcd(pr.numerator, pr.denominator) == 1 for pr in pi.probs)
+            assert pi == mu and pi.probs == mu.probs
 
 
 class TestTwoLayerLaw:

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import accumulate
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -146,12 +146,32 @@ def random_block_system(rng, sizes: list[int]):
 
 
 def integer_masses(dist: Distribution, dim: int) -> list[int]:
-    """The law's probabilities, indexed by word, over their common denominator."""
-    den = lcm(*(pr.denominator for pr in dist.probs))
+    """The law's masses, indexed by word."""
     masses = [0] * dim
-    for occ, pr in dist.items():
-        masses[occ.word] = pr.numerator * (den // pr.denominator)
+    for occ, m in zip(dist.states, dist.masses):
+        masses[occ.word] = m
     return masses
+
+
+def corrupt_first_candidate(monkeypatch, n: int) -> tuple[dict, list]:
+    """Make the first complete rational reconstruction of an n-entry
+    solution wrong by one in its last entry. Returns the number of entries
+    reconstructed under each modulus, and the modulus of the corruption."""
+    real = oracle._rational_reconstruct
+    calls: dict = {}
+    corrupted: list = []
+
+    def wrong_once(a, m):
+        f = real(a, m)
+        calls[m] = calls.get(m, 0) + 1
+        # entries reconstruct in order, stopping at the first failure
+        if f is not None and calls[m] == n and not corrupted:
+            corrupted.append(m)
+            return f + 1
+        return f
+
+    monkeypatch.setattr(oracle, "_rational_reconstruct", wrong_once)
+    return calls, corrupted
 
 
 class TestRates:
@@ -370,6 +390,20 @@ class TestExactSolvers:
         x = [F(v, den) for v in num]
         assert [sum(v * x[j] for j, v in row.items()) for row in rows] == rhs
         assert x == solve_dixon(rows, rhs)
+
+    def test_solve_rejects_a_wrong_candidate(self, monkeypatch):
+        rows, rhs = random_block_system(random.Random(7), [6])
+        calls, corrupted = corrupt_first_candidate(monkeypatch, len(rows))
+        x = solve_dixon(rows, rhs)
+        assert [sum(v * x[j] for j, v in row.items()) for row in rows] == rhs
+        assert corrupted and max(calls) > corrupted[0]  # a later checkpoint ran
+
+    def test_exact_law_survives_a_wrong_candidate(self, monkeypatch):
+        p = POINTS[1]
+        g = build_generator(4, rates_from_params(p))
+        calls, corrupted = corrupt_first_candidate(monkeypatch, g.dim - 1)
+        assert stationary_exact(g) == stationary_mu(4, p)
+        assert corrupted and max(calls) > corrupted[0]  # a later checkpoint ran
 
     @pytest.mark.parametrize("i, j", [(0, 4), (5, 1)])
     def test_block_solve_refuses_an_entry_two_blocks_away(self, i, j):
