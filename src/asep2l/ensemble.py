@@ -37,7 +37,7 @@ from .record import Record
 from .weights import ModelParams, _extend, _key_weights, q_weight
 
 
-class Distribution:
+class Distribution(Record, frozen=True):
     """Ordered exact law over hashable states: nonnegative masses (int or
     Fraction, not all zero) over their total; probability i is masses[i]/total."""
 
@@ -48,6 +48,8 @@ class Distribution:
         ms = tuple(masses)
         if len(st) != len(ms):
             raise ValueError("states and masses differ in length")
+        if not {int, Fraction}.issuperset(map(type, ms)):
+            raise ValueError("masses must be int or Fraction")
         if any(m < 0 for m in ms):
             raise ValueError("masses must be nonnegative")
         total = sum(ms)
@@ -56,11 +58,7 @@ class Distribution:
         index = {s: i for i, s in enumerate(st)}
         if len(index) != len(st):
             raise ValueError("duplicate states")
-        for name, value in zip(self.__slots__, (st, ms, total, index)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
+        self._init(st, ms, total, index)
 
     def __len__(self) -> int:
         return len(self.states)

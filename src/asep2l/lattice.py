@@ -112,7 +112,7 @@ class Occupation(Record, frozen=True):
         return f"Occupation({str(self)!r})" if self.length else "Occupation('')"
 
 
-class LatticePath:
+class LatticePath(Record, frozen=True):
     """Integer sequence starting at 0 with increments in {-1, 0, +1}.
 
     Caches the four statistics every weight formula reads: minimum,
@@ -132,14 +132,7 @@ class LatticePath:
                 raise ValueError("path increments must be in {-1, 0, +1}")
             if step == 0:
                 horizontal += 1
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "minimum", min(vals))
-        object.__setattr__(self, "maximum", max(vals))
-        object.__setattr__(self, "end", vals[-1])
-        object.__setattr__(self, "horizontal", horizontal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticePath is immutable")
+        self._init(vals, min(vals), max(vals), vals[-1], horizontal)
 
     @property
     def length(self) -> int:
@@ -148,9 +141,6 @@ class LatticePath:
 
     def steps(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in zip(self.values, self.values[1:]))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticePath) and self.values == other.values
 
     def __hash__(self) -> int:
         # the steps as base-3 digits after a leading 1, which is injective;
@@ -209,11 +199,11 @@ def enumerate_occupations(L: int) -> Iterator[Occupation]:
     """All 2**L occupations in lexicographic order of the site sequence."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    for k in range(1 << L):
-        word = 0
-        for j in range(L):
-            # site j+1 reads bit (L-1-j) of k, so k orders lexicographically
-            word |= ((k >> (L - 1 - j)) & 1) << j
+    words = [0]
+    for j in range(L):
+        # site j+1 varies fastest, so the words keep lexicographic order
+        words = [w | b << j for w in words for b in (0, 1)]
+    for word in words:
         yield Occupation(L, word)
 
 

@@ -78,15 +78,13 @@ def rates_from_params(p: ModelParams) -> Rates:
     )
 
 
-class GeneratorMatrix:
+class GeneratorMatrix(Record):
     """Sparse generator: rows of {column: rate}, diagonal = -row sum."""
 
-    __slots__ = ("L", "dim", "rows")
+    __slots__ = ("L", "rows", "dim")
 
     def __init__(self, L: int, rows):
-        self.L = L
-        self.dim = 1 << L
-        self.rows = rows
+        self._init(L, rows, 1 << L)
 
     def entry(self, i: int, j: int) -> Fraction:
         if i == j:

@@ -30,6 +30,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
+from .record import Record
+
 Rational = Fraction
 
 
@@ -70,7 +72,7 @@ def q_pochhammer(a: Rational, q: Rational, n: int) -> Fraction:
     return out
 
 
-class QPolynomial:
+class QPolynomial(Record, frozen=True):
     """Dense univariate polynomial over Fraction, trailing zeros trimmed.
 
     coefficient i multiplies z**i; the zero polynomial has no coefficients,
@@ -80,13 +82,7 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPolynomial is immutable")
+        self._init(tuple(_trimmed([Fraction(c) for c in coeffs])))
 
     @property
     def degree(self) -> int:
@@ -98,12 +94,6 @@ class QPolynomial:
 
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("QPolynomial", self.coeffs))
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -167,7 +157,7 @@ def pochhammer_polynomial(q: Rational, n: int) -> QPolynomial:
     return out
 
 
-class BasisElement:
+class BasisElement(Record, frozen=True):
     """Exact element sum_j c_j z**j / (z;q)_depth with q supplied per call.
 
     Trailing zero coefficients are trimmed so equal values compare equal
@@ -180,24 +170,7 @@ class BasisElement:
     def __init__(self, depth: int, coeffs: Iterable[Rational]):
         if depth < 0:
             raise ValueError(f"depth must be nonnegative, got {depth}")
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisElement is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BasisElement)
-            and self.depth == other.depth
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(("BasisElement", self.depth, self.coeffs))
+        self._init(depth, tuple(_trimmed([Fraction(c) for c in coeffs])))
 
     def numerator(self) -> QPolynomial:
         return QPolynomial(self.coeffs)
@@ -249,7 +222,7 @@ def _action_tables(q: Fraction, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(numbers), tuple(a_powers), tuple(b_powers)
 
 
-def _trimmed(out: list[int]) -> list[int]:
+def _trimmed(out: list) -> list:
     while out and out[-1] == 0:
         out.pop()
     return out

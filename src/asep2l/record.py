@@ -22,10 +22,12 @@ def _hash(self) -> int:
 class Record:
     """Base of a record whose fields are its __slots__, in order.
 
-    Declare a subclass with frozen=True to make its instances hashable
-    by their fields and immutable once __init__ has run. Every subclass's
-    constructor takes its fields positionally in __slots__ order, which
-    pickling relies on.
+    Declare a subclass with frozen=True to make its instances immutable
+    once __init__ has run and hashable by their fields, unless the class
+    defines its own __hash__, which it keeps. Every subclass's constructor
+    takes a leading run of its __slots__ positionally, in order; the slots
+    after that run are derived, set by the constructor from the ones it
+    takes. Pickling and copying pass the constructor only that run.
     """
 
     __slots__ = ()
@@ -33,9 +35,11 @@ class Record:
     def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = attrgetter(*cls.__slots__)
+        cls._args = cls.__slots__[: cls.__init__.__code__.co_argcount - 1]
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse
-            cls.__hash__ = _hash
+            if cls.__dict__.get("__hash__") is None:
+                cls.__hash__ = _hash
 
     def _init(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -51,4 +55,4 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._fields(self)
+        return type(self), tuple(getattr(self, name) for name in self._args)

@@ -63,6 +63,7 @@ class TestDistribution:
             (["a", "a"], [F(1, 2), F(1, 2)]),
             (["a", "a"], [1, 1]),
             (["a", "b"], [1]),  # and a length mismatch
+            (["a", "b"], [0.5, 0.5]),  # and float masses
         ):
             with pytest.raises(ValueError):
                 Distribution(states, masses)

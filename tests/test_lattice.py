@@ -148,6 +148,12 @@ class TestEnumeration:
         assert paths == sorted(paths, key=LatticePath.steps)
         assert len(set(paths)) == len(paths)
 
+    @pytest.mark.parametrize("L", range(11))
+    def test_occupations_are_in_site_order(self, L):
+        # site 1 varies slowest, as in product over the sites
+        expected = [Occupation.from_bits(b) for b in product((0, 1), repeat=L)]
+        assert list(enumerate_occupations(L)) == expected
+
     @pytest.mark.parametrize("L", range(1, 6))
     def test_pair_path_bijection(self, L):
         seen = {}

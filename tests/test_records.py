@@ -2,13 +2,19 @@
 validation, repr, and copies."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 
-from asep2l.lattice import Occupation
-from asep2l.oracle import Rates
+import asep2l
+from asep2l.ensemble import Distribution
+from asep2l.lattice import LatticePath, Occupation
+from asep2l.oracle import Rates, build_generator
+from asep2l.qcalc import BasisElement, QPolynomial
+from asep2l.record import Record, _refuse
 from asep2l.recursions import Failure, VerificationReport
 from asep2l.sampler import SampleBatch
 from asep2l.weights import ModelParams
@@ -16,7 +22,7 @@ from asep2l.weights import ModelParams
 P = ModelParams(F(1, 2), 1, 2)
 
 # (record, the same fields given otherwise, a record differing in one
-# field, the record's fields in order)
+# field, the record's fields in order; a lone field stands alone)
 FROZEN = {
     "Occupation": (Occupation(3, 5), Occupation(length=3, word=5), Occupation(4, 5), (3, 5)),
     "ModelParams": (
@@ -31,8 +37,26 @@ FROZEN = {
         Rates(F(1, 2), 1, 0, F(1, 3), 0),
         (F(1, 2), 1, 0, F(1, 3), F(1, 2)),
     ),
+    "QPolynomial": (
+        QPolynomial([1, 2]),
+        QPolynomial(coeffs=(F(1), F(4, 2), 0)),
+        QPolynomial([1, 3]),
+        (F(1), F(2)),
+    ),
+    "BasisElement": (
+        BasisElement(2, [1]),
+        BasisElement(depth=2, coeffs=(F(1), 0)),
+        BasisElement(3, [1]),
+        (2, (F(1),)),
+    ),
 }
-FIRST_FIELD = {"Occupation": "length", "ModelParams": "q", "Rates": "alpha"}
+FIRST_FIELD = {
+    "Occupation": "length",
+    "ModelParams": "q",
+    "Rates": "alpha",
+    "QPolynomial": "coeffs",
+    "BasisElement": "depth",
+}
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -60,6 +84,72 @@ class TestFrozenRecords:
         assert copy.copy(record) == record
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+# (value, an equal value built otherwise, a different value) of the records
+# that keep their own equality and hash, and of the mutable GeneratorMatrix
+VALUES = {
+    "Distribution": (
+        Distribution("ab", [1, 3]),
+        Distribution("ab", [F(1, 2), F(3, 2)]),
+        Distribution("ab", [1, 1]),
+    ),
+    "LatticePath": (
+        LatticePath([0, 1, 0]),
+        LatticePath((0, 1, 0)),
+        LatticePath([0, -1, 0]),
+    ),
+    "GeneratorMatrix": (
+        build_generator(2, Rates(1, 1, 0, 0, 0)),
+        build_generator(2, Rates(1, 1, 0, 0, 0)),
+        build_generator(2, Rates(1, 1, 0, 0, F(1, 2))),
+    ),
+}
+FROZEN_VALUES = ["Distribution", "LatticePath"]
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+class TestValueTypes:
+    def test_equality(self, name):
+        value, same, other = VALUES[name]
+        assert value == same and value != other
+
+    def test_copies_restore_every_slot(self, name):
+        value = VALUES[name][0]
+        for twin in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert twin == value and twin is not value
+            assert twin._fields(twin) == value._fields(value)
+
+    def test_new_attributes_are_refused(self, name):
+        with pytest.raises(AttributeError):
+            VALUES[name][0].extra = 1
+
+
+@pytest.mark.parametrize("name", FROZEN_VALUES)
+def test_frozen_value_types_refuse_assignment(name):
+    value, same, _ = VALUES[name]
+    assert hash(value) == hash(same) == hash(copy.deepcopy(value))
+    for field in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(same, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value == same
+
+
+def test_every_slotted_class_is_a_record():
+    for info in pkgutil.iter_modules(asep2l.__path__):
+        module = importlib.import_module(f"asep2l.{info.name}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            if "__slots__" in vars(cls):
+                assert issubclass(cls, Record), cls
+            assert vars(cls).get("__setattr__", _refuse) is _refuse, cls
 
 
 def test_fractions_are_stored():
