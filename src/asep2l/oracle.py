@@ -11,11 +11,13 @@ The stationary distribution is the one-dimensional nullspace of the
 transposed generator, normalized to total mass one. Bulk hops keep the
 particle number N and boundary moves change it by one, so with the states
 ordered by N the transposed generator is block tridiagonal, with blocks
-of size C(L, N). stationary_exact pins the empty state to 1 and hands
-the rest to one solver for block-tridiagonal integer systems,
-_solve_blocks. It holds the system as one list of sparse rows, whose
-bands Lo (to the previous block), D (to its own) and Up (to the next)
-are column ranges of those rows; it eliminates block by block modulo a
+of size C(L, N). stationary_exact scales the generator to integers once,
+as one set of entry arrays (row, column, value) with the diagonal
+included; the pin of the empty state, the block solve and the exact
+certificate all read those arrays. The solver for block-tridiagonal
+integer systems, _solve_blocks, takes the entries of the pinned system;
+its bands Lo (to the previous block), D (to its own) and Up (to the next)
+are masks of those entries. It eliminates block by block modulo a
 word-sized prime, inverting each Schur complement S_{t+1} = D_{t+1} -
 Lo_{t+1} S_t^{-1} Up_t by one Gauss-Jordan kernel, and lifts that
 elimination p-adically to the exact rational solution (Dixon's method
@@ -79,7 +81,8 @@ def rates_from_params(p: ModelParams) -> Rates:
 
 
 class GeneratorMatrix(Record):
-    """Sparse generator: rows of {column: rate}, diagonal = -row sum."""
+    """Sparse generator: rows of {column: rate}; the diagonal is minus the
+    sum of a row's rates to other words."""
 
     __slots__ = ("L", "rows", "dim")
 
@@ -87,8 +90,9 @@ class GeneratorMatrix(Record):
         self._init(L, rows, 1 << L)
 
     def entry(self, i: int, j: int) -> Fraction:
+        """G[i, j]; a row's rate to its own word cancels in its diagonal."""
         if i == j:
-            return -sum(self.rows[i].values(), Fraction(0))
+            return self.rows[i].get(i, 0) - sum(self.rows[i].values(), Fraction(0))
         return self.rows[i].get(j, Fraction(0))
 
     def apply_left(self, x) -> list[Fraction]:
@@ -152,31 +156,26 @@ def build_generator(L: int, r: Rates, max_L: int | None = None) -> GeneratorMatr
 # exact solvers
 
 
-def _integer_transpose(g: GeneratorMatrix):
-    """Clear denominators and transpose: columns of the scaled generator."""
-    scale = lcm(*{rate.denominator for row in g.rows for rate in row.values()})
-    cols = [dict() for _ in range(g.dim)]
-    for i, row in enumerate(g.rows):
-        diag = 0
-        for j, rate in row.items():
-            v = rate.numerator * (scale // rate.denominator)
-            cols[j][i] = v
-            diag += v
-        cols[i][i] = cols[i].get(i, 0) - diag
-    return cols
+def _entries(rows):
+    """Sparse rows of {column: value} as entry arrays (row, column, value)."""
+    i = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    j = np.fromiter(chain.from_iterable(rows), np.int64, len(i))
+    v = np.fromiter(chain.from_iterable(row.values() for row in rows), object, len(i))
+    return i, j, v
 
 
-def particle_blocks(L: int) -> list[list[int]]:
-    """The occupation words grouped by particle number N = 0..L.
-
-    Block N holds the C(L, N) words with N particles, in increasing order.
-    Bulk hops stay inside a block and boundary moves reach a neighbouring
-    one, so in this order the generator is block tridiagonal.
-    """
-    blocks = [[] for _ in range(L + 1)]
-    for w in range(1 << L):
-        blocks[w.bit_count()].append(w)
-    return blocks
+def _integer_generator(g: GeneratorMatrix):
+    """The generator with its denominators cleared, as entries (i, j, v) of
+    G: each move i -> j at its scaled rate, then each word's diagonal entry,
+    minus its row's sum. A row that lists its own word leaves two entries at
+    (i, i); they sum to G[i, i], in which that rate cancels."""
+    i, j, rates = _entries(g.rows)
+    scale = lcm(*{rate.denominator for rate in rates})
+    v = np.array([f.numerator * (scale // f.denominator) for f in rates], object)
+    diagonal = np.zeros(g.dim, dtype=object)
+    np.subtract.at(diagonal, i, v)
+    words = np.arange(g.dim)
+    return tuple(map(np.concatenate, ([i, words], [j, words], [v, diagonal])))
 
 
 # columns per panel of the Gauss-Jordan kernel: one float64 product per panel
@@ -308,16 +307,17 @@ def _gather(idx: np.ndarray, val: np.ndarray, x: np.ndarray) -> np.ndarray:
 MAX_DIGITS = 4096
 
 
-def _solve_blocks(rows: list[dict[int, int]], rhs: list[int], sizes: list[int]):
+def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[int]):
     """Solve a nonsingular block-tridiagonal integer system exactly.
 
-    The unknowns fall into consecutive blocks of the given sizes, and a row
-    of block t may reach only the columns of blocks t - 1, t and t + 1; any
-    other entry raises ValueError. The rows become one list of entries
-    (row, column, value), padded once into sparse rows for the exact
-    products. The bands of block t are column ranges of its rows: D_t
-    (to block t itself), held dense, and Lo_t (to block t - 1) and Up_t
-    (to block t + 1), compacted into sparse rows of their own.
+    The system is given by its entries (row r, column c, integer value v),
+    where entries at the same position add up. The unknowns fall into
+    consecutive blocks of the given sizes, and a row of block t may reach
+    only the columns of blocks t - 1, t and t + 1; any other entry raises
+    ValueError. The entries are padded once into sparse rows for the exact
+    products. The bands of block t are masks of the entries: D_t (to block
+    t itself), summed into a dense matrix, and Lo_t (to block t - 1) and
+    Up_t (to block t + 1), compacted into sparse rows of their own.
 
     Over GF(p) the system is eliminated block by block: the Schur
     complements are S_1 = D_1 and S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1}
@@ -342,11 +342,8 @@ def _solve_blocks(rows: list[dict[int, int]], rhs: list[int], sizes: list[int]):
     system exactly, as integer numerators over their least common
     denominator. Raises SingularSystem if every prime fails.
     """
-    n = len(rows)
+    n = len(rhs)
     bounds = np.cumsum([0, *sizes])
-    r = np.repeat(np.arange(n), [len(row) for row in rows])
-    c = np.fromiter(chain.from_iterable(rows), np.int64, len(r))
-    v = np.fromiter(chain.from_iterable(row.values() for row in rows), object, len(r))
     br, bc = (np.searchsorted(bounds, a, side="right") - 1 for a in (r, c))
     if (abs(bc - br) > 1).any():
         raise ValueError("system is not block tridiagonal")
@@ -367,7 +364,7 @@ def _solve_blocks(rows: list[dict[int, int]], rhs: list[int], sizes: list[int]):
         def schur(t):  # S_t, returned so that no reference outlives its inversion
             s = np.zeros((sizes[t], sizes[t]), dtype=np.int64)
             i, j, x = band(t, t)
-            s[i, j] = x
+            np.add.at(s, (i, j), x)  # entries at one position add up
             if t:
                 los.append(_ell(*band(t, t - 1), sizes[t]))
                 i, j, x = band(t - 1, t)
@@ -432,28 +429,31 @@ def solve_dixon(rows: list[dict[int, int]], rhs: list[int]) -> list[Fraction]:
     lifting and the mod-p kernel but never runs the elimination by blocks,
     and costs O(n**3) per prime.
     """
-    num, den = _solve_blocks(rows, rhs, [len(rows)])
+    num, den = _solve_blocks(*_entries(rows), rhs, [len(rows)])
     return [Fraction(v, den) for v in num]
 
 
-def _is_stationary(cols, masses: list[int]) -> bool:
+def _is_stationary(entries, masses) -> bool:
     """Exact certificate that masses, indexed by word, are proportional to
     a stationary law: they are nonnegative, not all zero, and x @ G = 0 on
-    every column of the integer transpose cols (_integer_transpose)."""
-    return (
-        min(masses) >= 0
-        and any(masses)
-        and all(sum(v * masses[i] for i, v in col.items()) == 0 for col in cols)
-    )
+    every column of the integer generator, given by its entries (i, j, v)
+    (_integer_generator)."""
+    i, j, v = entries
+    flow = np.zeros(len(masses), dtype=object)
+    np.add.at(flow, j, np.asarray(masses, dtype=object)[i] * v)
+    return min(masses) >= 0 and any(masses) and not flow.any()
 
 
 def stationary_exact(g: GeneratorMatrix) -> Distribution:
     """The unique probability vector annihilated by the generator.
 
-    With states ordered by particle number (particle_blocks) the
-    transposed generator is block tridiagonal. The empty state is pinned,
-    x(empty) = 1: its column moves to the right-hand side and its equation
-    is dropped; the equations sum to zero, so it is redundant. The
+    The generator is scaled to integers once, as entries (i, j, v) of G
+    (_integer_generator), and stationarity x @ G = 0 is the system whose
+    equation j reads column j. With the words ordered by particle number
+    (a stable sort of their popcounts) that system is block tridiagonal.
+    The empty state is pinned, x(empty) = 1: the entries of its row move
+    to the right-hand side and the entries of its column, its equation,
+    are dropped; the equations sum to zero, so it is redundant. The
     remaining square system is solved exactly by _solve_blocks, with one
     block per particle number N >= 1. The solution is kept as integer
     masses over the least common denominator of its entries, which is the
@@ -470,23 +470,24 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     column of the generator, the dropped one included (_is_stationary),
     before the law is returned.
     """
-    blocks = particle_blocks(g.L)
-    words = list(chain.from_iterable(blocks))
-    cols = _integer_transpose(g)
-    # the solver checks the pinned system; the moves out of and into the
-    # empty word, which the pin takes out of it, must reach N = 1
-    if any(w.bit_count() > 1 for w in chain(g.rows[0], cols[0])):
+    i, j, v = entries = _integer_generator(g)
+    count = np.array([w.bit_count() for w in range(g.dim)])
+    if (abs(count[i] - count[j]) > 1).any():
         raise ValueError("generator is not block tridiagonal in the particle number")
-    index = {w: k - 1 for k, w in enumerate(words)}  # the empty word -> -1
-    rows = [{index[i]: v for i, v in cols[w].items()} for w in words[1:]]
-    rhs = [-row.pop(-1, 0) for row in rows]
-    tail, den = _solve_blocks(rows, rhs, list(map(len, blocks[1:])))
-    masses = [0] * g.dim
-    for w, m in zip(words, [den] + tail):
-        masses[w] = m
-    if not _is_stationary(cols, masses):
+    words = np.argsort(count, kind="stable")  # the words in particle order
+    place = np.empty_like(words)  # each word's unknown after the pin, -1 if empty
+    place[words] = np.arange(-1, g.dim - 1)
+    pinned, dropped = i == 0, j == 0  # the empty word's row and its column
+    moved, kept = pinned & ~dropped, ~(pinned | dropped)
+    rhs = np.zeros(g.dim - 1, dtype=object)
+    np.subtract.at(rhs, place[j[moved]], v[moved])
+    sizes = np.bincount(count)[1:].tolist()
+    tail, den = _solve_blocks(place[j[kept]], place[i[kept]], v[kept], rhs, sizes)
+    masses = np.zeros(g.dim, dtype=object)
+    masses[words] = np.array([den, *tail], dtype=object)
+    if not _is_stationary(entries, masses):
         raise SingularSystem("solution is not a stationary law of the generator")
-    return occupation_law(g.L, dict(enumerate(masses)))
+    return occupation_law(g.L, dict(enumerate(masses.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,9 @@ poles A*B*q**k = 1 for k = 2..L+1.
 The weight depends on the path only through its key (composition, start
 height, end height), and _key_weights weighs keys on integers: with
 A = a/a', B = b/b' and w(AB) = W/D in lowest terms, a key weighs
-b**end a**start W over b'**end a'**start D, reduced by one gcd.
-shape_weight is the Fraction view of this formula; the path table of the
-marginal puts its integers over the lcm of their denominators, and
-partition_Z sums them.
+b**end a**start W over b'**end a'**start D, reduced by one gcd. The path
+table of the marginal puts these integers over the lcm of their
+denominators, and partition_Z sums them.
 """
 
 from __future__ import annotations
@@ -209,20 +208,10 @@ def _key_weights(keys, p: ModelParams):
         yield num // g, den // g
 
 
-def shape_weight(
-    sigma: tuple[int, ...], start_height: int, end_height: int, p: ModelParams
-) -> Fraction:
-    """B**end_height A**start_height w_sigma(AB): the weight of every path
-    with composition sigma that starts start_height and ends end_height
-    above its minimum."""
-    return Fraction(*next(_key_weights([(sigma, start_height, end_height)], p)))
-
-
 def path_weight(gamma: LatticePath, p: ModelParams) -> Fraction:
     """Two-layer weight read off a path: B**(end-min) A**(-min) w(AB)."""
-    return shape_weight(
-        composition_of(gamma), -gamma.minimum, gamma.end - gamma.minimum, p
-    )
+    key = (composition_of(gamma), -gamma.minimum, gamma.end - gamma.minimum)
+    return Fraction(*next(_key_weights([key], p)))
 
 
 def q_weight(tau: Occupation, xi: Occupation, p: ModelParams) -> Fraction:

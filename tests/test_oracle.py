@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import accumulate
-from math import comb, isqrt
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -18,7 +18,8 @@ from asep2l.oracle import (
     PANEL,
     GeneratorMatrix,
     Rates,
-    _integer_transpose,
+    _entries,
+    _integer_generator,
     _inverse_mod_p,
     _is_stationary,
     _primes_for,
@@ -26,7 +27,6 @@ from asep2l.oracle import (
     _solve_blocks,
     build_generator,
     gillespie_simulate,
-    particle_blocks,
     rates_from_params,
     solve_dixon,
     stationary_exact,
@@ -49,7 +49,12 @@ def dense_stationary(g: GeneratorMatrix) -> Distribution:
     """The stationary law by the dense route: the normalization row takes
     the place of the last equation, and one dense inverse mod p is lifted."""
     n = g.dim
-    cols = _integer_transpose(g)
+    scale = lcm(*(rate.denominator for row in g.rows for rate in row.values()))
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(g.rows):
+        for j, rate in row.items():
+            cols[j][i] = int(rate * scale)
+        cols[i][i] = cols[i].get(i, 0) - int(sum(row.values()) * scale)
     cols[n - 1] = {j: 1 for j in range(n)}
     x = solve_dixon(cols, [0] * (n - 1) + [1])
     states = list(enumerate_occupations(g.L))
@@ -210,6 +215,17 @@ class TestGenerator:
                 assert i not in row
                 assert sum(row.values()) == -g.entry(i, i)
 
+    def test_entry_agrees_with_apply_left(self):
+        # row 0 lists its own word: that rate cancels in the diagonal
+        for g in (
+            GeneratorMatrix(1, ({0: 1, 1: 1}, {0: 2})),
+            build_generator(3, rates_from_params(POINTS[1])),
+        ):
+            for i in range(g.dim):
+                unit = [0] * g.dim
+                unit[i] = 1
+                assert g.apply_left(unit) == [g.entry(i, j) for j in range(g.dim)]
+
     @pytest.mark.parametrize("p", POINTS + ACCEPTANCE_GRID)
     def test_rows_equal_the_closure_build(self, p):
         # covers q = 0, where left hops are absent, and L = 1, where the
@@ -296,14 +312,18 @@ class TestExactSolvers:
         assert len(last) == g.dim - 1 and None not in last
         assert dist == stationary_mu(10, p)
 
-    def test_particle_blocks_partition_the_states(self):
-        for L in range(1, 9):
-            blocks = particle_blocks(L)
-            assert [len(b) for b in blocks] == [comb(L, n) for n in range(L + 1)]
-            words = [int(w) for b in blocks for w in b]
-            assert sorted(words) == list(range(1 << L))
-            for n, block in enumerate(blocks):
-                assert all(bin(int(w)).count("1") == n for w in block)
+    def test_rates_to_the_own_word_do_not_change_the_law(self):
+        # each row, the empty word's included, lists its own word; the two
+        # diagonal entries of such a row must add up in the block solve
+        rng = random.Random(3)
+        for p in POINTS[:3]:
+            for L in range(1, 6):
+                g = build_generator(L, rates_from_params(p))
+                rows = tuple(
+                    {**row, w: F(rng.randrange(1, 9), rng.randrange(1, 9))}
+                    for w, row in enumerate(g.rows)
+                )
+                assert stationary_exact(GeneratorMatrix(L, rows)) == stationary_exact(g)
 
     def test_matches_two_layer_marginal(self):
         p = ModelParams(F(1, 2), F(1), F(2))
@@ -386,7 +406,7 @@ class TestExactSolvers:
         # uneven blocks, with 1-row blocks and blocks of more than one panel
         rng = random.Random(sum(sizes) * len(sizes))
         rows, rhs = random_block_system(rng, sizes)
-        num, den = _solve_blocks(rows, rhs, sizes)
+        num, den = _solve_blocks(*_entries(rows), rhs, sizes)
         x = [F(v, den) for v in num]
         assert [sum(v * x[j] for j, v in row.items()) for row in rows] == rhs
         assert x == solve_dixon(rows, rhs)
@@ -410,7 +430,7 @@ class TestExactSolvers:
         rows = [{k: 1} for k in range(6)]
         rows[i][j] = 1  # between blocks 0 and 2, above or below the diagonal
         with pytest.raises(ValueError):
-            _solve_blocks(rows, [1] * 6, [2, 2, 2])
+            _solve_blocks(*_entries(rows), [1] * 6, [2, 2, 2])
         solve_dixon(rows, [1] * 6)  # as one block, the system is solved
 
     @pytest.mark.parametrize("L, move", [(2, (0, 3)), (2, (3, 0)), (3, (1, 7))])
@@ -495,16 +515,16 @@ class TestExactSolvers:
     def test_certificate_accepts_only_the_stationary_masses(self, p):
         for L in range(1, 6):
             g = build_generator(L, rates_from_params(p))
-            cols = _integer_transpose(g)
+            entries = _integer_generator(g)
             masses = integer_masses(stationary_exact(g), g.dim)
-            assert _is_stationary(cols, masses)
-            assert _is_stationary(cols, [3 * m for m in masses])
+            assert _is_stationary(entries, masses)
+            assert _is_stationary(entries, [3 * m for m in masses])
             for w in range(g.dim):
                 bumped = list(masses)
                 bumped[w] += 1
-                assert not _is_stationary(cols, bumped)
-            assert not _is_stationary(cols, [-m for m in masses])
-            assert not _is_stationary(cols, [0] * g.dim)
+                assert not _is_stationary(entries, bumped)
+            assert not _is_stationary(entries, [-m for m in masses])
+            assert not _is_stationary(entries, [0] * g.dim)
 
     def test_primes_keep_int64_sums_exact(self):
         for k in (1, 924, 1 << 13, 1 << 16, 1 << 30):
