@@ -6,9 +6,10 @@ A pair's weight depends only on its path, and the path's weight only on
 its composition and the heights of its ends above its minimum. The
 marginal therefore weighs each distinct such key once, puts the 3**L path
 weights over one common denominator as integers, and folds them into the
-2**L top-layer masses one site at a time: up steps force bit 1, down steps
-bit 0, and level steps add to both. That is O(3**L) integer additions, and
-the law keeps those masses over their total: it divides only when read.
+2**L top-layer masses by their first site, depth first: an up step forces
+bit 1, a down step bit 0, and a level step adds to both, and each half
+folds the sites after it the same way. That is O(3**L) integer additions,
+and the law keeps those masses over their total: it divides only when read.
 _path_mass_into, which spreads one path over its 2**H top layers with
 Fractions, is kept as the slow reference for the path law's pushforward.
 
@@ -151,24 +152,21 @@ def _path_weights(L: int, p: ModelParams) -> tuple[list[int], int]:
 
 
 def _spread(weights: list[int], L: int) -> list[int]:
-    """Fold path weights into top-layer masses, one site at a time.
+    """Fold path weights into top-layer masses by their first site.
 
     weights is in step-lexicographic order (site 1 most significant, steps
-    -1 < 0 < +1); the result is in the order of enumerate_occupations. At
-    each site, from the last to the first, a down step writes bit 0, an up
-    step writes bit 1, and a level step adds to both.
+    -1 < 0 < +1); the result is in the order of enumerate_occupations. The
+    paths whose first step is down or level spread over the words that
+    start with 0, and those whose first step is up or level over the words
+    that start with 1; each half folds the remaining L - 1 sites in turn.
+    The recursion is depth first, so only one branch's sums are alive.
     """
-    row = weights
-    for k in range(L):
-        # row holds 3**(L-k) ternary prefixes, each over 2**k suffix words
-        width = 1 << k
-        out = [0] * (len(row) // 3 * 2)
-        for o in range(width):
-            level = row[width + o :: 3 * width]
-            out[o :: 2 * width] = map(add, row[o :: 3 * width], level)
-            out[width + o :: 2 * width] = map(add, row[2 * width + o :: 3 * width], level)
-        row = out
-    return row
+    if L == 0:
+        return weights
+    n = len(weights) // 3
+    level = weights[n : 2 * n]
+    low = _spread(list(map(add, weights[:n], level)), L - 1)
+    return low + _spread(list(map(add, weights[2 * n :], level)), L - 1)
 
 
 def stationary_mu(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:

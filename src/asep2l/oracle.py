@@ -9,30 +9,31 @@ delta = q(1-beta) with alpha = 1/(1+A), beta = 1/(1+B).
 
 The stationary distribution is the one-dimensional nullspace of the
 transposed generator, normalized to total mass one. Bulk hops keep the
-particle number N and boundary moves change it by one, so with the states
-ordered by N the transposed generator is block tridiagonal, with blocks
-of size C(L, N). stationary_exact scales the generator to integers once,
-as one set of entry arrays (row, column, value) with the diagonal
-included; the pin of the empty state, the block solve and the exact
-certificate all read those arrays. The solver for block-tridiagonal
-integer systems, _solve_blocks, takes the entries of the pinned system;
-its bands Lo (to the previous block), D (to its own) and Up (to the next)
-are masks of those entries. It eliminates block by block modulo a
-word-sized prime, inverting each Schur complement S_{t+1} = D_{t+1} -
-Lo_{t+1} S_t^{-1} Up_t by one Gauss-Jordan kernel, and lifts that
-elimination p-adically to the exact rational solution (Dixon's method
-with rational reconstruction). This costs sum_N C(L, N)**3 operations
-per prime instead of 8**L for one dense elimination, and each p-adic
-digit costs two matrix-vector products per block. The kernel eliminates
-by panels of PANEL columns and applies each panel to the rest of the
-matrix as one float64 (BLAS) product of residues, exact because the
-prime is kept below 2**24 (PANEL * p**2 < 2**53); it accumulates in
-int64 and reduces lazily, under the bound n * p**2 < 2**63 for an n x n
-block. The solution is kept as integer masses over one denominator and
-certified exactly against every column of the integer generator, x @ G
-= 0, before it is returned; solvability modulo the prime certifies that
-the nullspace is one-dimensional. A single block is one dense inverse:
-that case, solve_dixon, is kept as the small-system cross-check.
+particle number N and boundary moves change it by one, so with the
+states ordered by N the transposed generator is block tridiagonal, with
+blocks of size C(L, N). stationary_exact scales the generator to
+integers once, as one set of entry arrays (row, column, value) with the
+diagonal included; the pin x(empty) = 1, which replaces the empty word's
+redundant equation, the block solve and the exact certificate all read
+those arrays. The solver for block-tridiagonal integer systems,
+_solve_blocks, takes the entries of that pinned system; its bands Lo (to
+the previous block), D (to its own) and Up (to the next) are masks of
+those entries. It eliminates block by block modulo a word-sized prime,
+inverting each Schur complement S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1}
+Up_t by one Gauss-Jordan kernel, and lifts that elimination p-adically
+to the exact rational solution (Dixon's method with rational
+reconstruction). This costs sum_N C(L, N)**3 operations per prime
+instead of 8**L for one dense elimination, and each p-adic digit costs
+two matrix-vector products per block. The kernel eliminates by panels of
+PANEL columns and applies each panel to the rest of the matrix as one
+float64 (BLAS) product of residues, exact because the prime is kept
+below 2**24 (PANEL * p**2 < 2**53); it accumulates in int64 and reduces
+lazily, under the bound n * p**2 < 2**63 for an n x n block. The
+solution is kept as integer masses over one denominator and certified
+exactly against every column of the integer generator, x @ G = 0, before
+it is returned; solvability modulo the prime certifies that the
+nullspace is one-dimensional. A single block is one dense inverse: that
+case, solve_dixon, is kept as the small-system cross-check.
 
 The Gillespie simulator at the bottom is the only code in the package
 whose results are floating point (the kernel's float64 products are
@@ -228,12 +229,13 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     Reduction is lazy: the whole matrix is reduced only in the panel's
     columns and in the rows that enter the product, which only adds, so
     every entry stays below one residue plus one product below p**2 per
-    step, n products in all for the n x n kernel (see _primes_for); inside
-    a panel only the pivot row and column are reduced at each step. Raises
-    _SingularModP if the matrix is singular modulo p.
+    step, n products in all for the n x n kernel (see _primes_for); inside a
+    panel only the pivot row and column are reduced at each step. Raises
+    ValueError for p above those bounds, _SingularModP if singular mod p.
     """
     n = a.shape[0]
-    assert n * p * p < 2**63 and PANEL * p * p < 2**53
+    if not (n * p * p < 2**63 and PANEL * p * p < 2**53):
+        raise ValueError(f"prime {p} is too large for an exact {n} x {n} kernel")
     a = a % p
     swaps = []
     for k0 in range(0, n, PANEL):
@@ -451,11 +453,11 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     (_integer_generator), and stationarity x @ G = 0 is the system whose
     equation j reads column j. With the words ordered by particle number
     (a stable sort of their popcounts) that system is block tridiagonal.
-    The empty state is pinned, x(empty) = 1: the entries of its row move
-    to the right-hand side and the entries of its column, its equation,
-    are dropped; the equations sum to zero, so it is redundant. The
-    remaining square system is solved exactly by _solve_blocks, with one
-    block per particle number N >= 1. The solution is kept as integer
+    The equations sum to zero, so one is redundant: the empty word's
+    equation, its column of G, is replaced by the pin x(empty) = 1, one
+    entry with right-hand side 1. That square system over all 2**L words is
+    solved exactly by _solve_blocks, with one block per particle number, the
+    empty word alone in the block N = 0. The solution is kept as integer
     masses over the least common denominator of its entries, which is the
     empty word's mass.
 
@@ -463,28 +465,26 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     1/(1+A) > 0 and beta = 1/(1+B) > 0, so the chain is irreducible and
     pi(empty) > 0. Since the empty state is reachable from every state,
     every Schur complement of the elimination is nonsingular too. A
-    generator whose pinned system is singular raises SingularSystem, and
-    one with a move that changes N by more than one raises ValueError.
-    Nonsingularity modulo a prime certifies that the nullspace is
-    one-dimensional, and the masses are certified exactly against every
-    column of the generator, the dropped one included (_is_stationary),
-    before the law is returned.
+    generator whose pinned system is singular raises SingularSystem, and one
+    with a move that changes N by more than one, the empty word's moves
+    included, raises ValueError. Nonsingularity modulo a prime certifies
+    that the nullspace is one-dimensional, and the masses are certified
+    exactly against every column of the generator, the replaced one included
+    (_is_stationary), before the law is returned.
     """
     i, j, v = entries = _integer_generator(g)
     count = np.array([w.bit_count() for w in range(g.dim)])
     if (abs(count[i] - count[j]) > 1).any():
         raise ValueError("generator is not block tridiagonal in the particle number")
     words = np.argsort(count, kind="stable")  # the words in particle order
-    place = np.empty_like(words)  # each word's unknown after the pin, -1 if empty
-    place[words] = np.arange(-1, g.dim - 1)
-    pinned, dropped = i == 0, j == 0  # the empty word's row and its column
-    moved, kept = pinned & ~dropped, ~(pinned | dropped)
-    rhs = np.zeros(g.dim - 1, dtype=object)
-    np.subtract.at(rhs, place[j[moved]], v[moved])
-    sizes = np.bincount(count)[1:].tolist()
-    tail, den = _solve_blocks(place[j[kept]], place[i[kept]], v[kept], rhs, sizes)
+    place = np.empty_like(words)  # each word's unknown; the empty word's is 0
+    place[words] = np.arange(g.dim)
+    kept = j != 0  # every equation but the empty word's, which the pin replaces
+    r, c = (np.append(place[a[kept]], 0) for a in (j, i))  # the pin's entry is (0, 0)
+    sizes = np.bincount(count).tolist()
+    num, den = _solve_blocks(r, c, np.append(v[kept], 1), [1] + [0] * (g.dim - 1), sizes)
     masses = np.zeros(g.dim, dtype=object)
-    masses[words] = np.array([den, *tail], dtype=object)
+    masses[words] = num
     if not _is_stationary(entries, masses):
         raise SingularSystem("solution is not a stationary law of the generator")
     return occupation_law(g.L, dict(enumerate(masses.tolist())))

@@ -129,9 +129,10 @@ def w_sigma_series(sigma, q: Rational) -> QPolynomial:
             c += poch.coefficient(i) * terms[k - i]
         coeffs.append(c)
     for k in range(L - r + 1, L + 3):
-        assert coeffs[k] == 0, (
-            f"series route leaked degree {k} > {L - r} for sigma={parts}, q={q}"
-        )
+        if coeffs[k] != 0:
+            raise AssertionError(
+                f"series route leaked degree {k} > {L - r} for sigma={parts}, q={q}"
+            )
     return QPolynomial(coeffs[: L - r + 1])
 
 

@@ -1,9 +1,14 @@
 """Tests for the generator, the exact solvers, and the simulator."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import accumulate
 from math import isqrt, lcm
+from pathlib import Path
+from textwrap import dedent
 
 import numpy as np
 import pytest
@@ -43,6 +48,8 @@ POINTS = [
 ACCEPTANCE_GRID = [ModelParams(q, A, B) for q in Q_GRID for A, B in AB_GRID]
 # the largest p whose PANEL products of residues sum exactly in float64
 FLOAT_CAP = isqrt((2**53 - 1) // PANEL)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
 
 
 def dense_stationary(g: GeneratorMatrix) -> Distribution:
@@ -309,7 +316,7 @@ class TestExactSolvers:
             results = [f for mm, f in calls if mm == m]
             assert results[-1] is None and None not in results[:-1]
         last = [f for mm, f in calls if mm == checkpoints[-1]]
-        assert len(last) == g.dim - 1 and None not in last
+        assert len(last) == g.dim and None not in last
         assert dist == stationary_mu(10, p)
 
     def test_rates_to_the_own_word_do_not_change_the_law(self):
@@ -410,6 +417,11 @@ class TestExactSolvers:
         x = [F(v, den) for v in num]
         assert [sum(v * x[j] for j, v in row.items()) for row in rows] == rhs
         assert x == solve_dixon(rows, rhs)
+        # every entry split into two at its position, which must add up
+        r, c, v = _entries(rows)
+        part = np.array([rng.choice([-2, -1, 1, 2]) for _ in v], dtype=object)
+        r, c = np.concatenate([r, r]), np.concatenate([c, c])
+        assert _solve_blocks(r, c, np.concatenate([v - part, part]), rhs, sizes) == (num, den)
 
     def test_solve_rejects_a_wrong_candidate(self, monkeypatch):
         rows, rhs = random_block_system(random.Random(7), [6])
@@ -508,8 +520,35 @@ class TestExactSolvers:
     def test_inverse_mod_p_refuses_a_prime_above_the_float64_cap(self):
         big = FLOAT_CAP + 2 - FLOAT_CAP % 2  # odd, and above the cap
         assert PANEL * big * big >= 2**53 and 4 * big * big < 2**63
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             _inverse_mod_p(np.eye(4, dtype=np.int64), big)
+
+    def test_numeric_limits_hold_under_python_O(self):
+        # -O strips assert statements; both refusals must survive it
+        script = dedent(
+            """
+            import numpy as np
+            from fractions import Fraction
+            from asep2l import oracle, qcalc, weights
+            if __debug__:
+                raise SystemExit("assert statements are on")
+            try:
+                oracle._inverse_mod_p(np.eye(3, dtype=np.int64), 2**24 + 43)
+            except ValueError:
+                pass
+            else:
+                raise SystemExit("the kernel took a prime above the float64 cap")
+            # without the Pochhammer factor every degree of the series survives
+            weights.pochhammer_polynomial = lambda q, n: qcalc.QPolynomial([1])
+            try:
+                weights.w_sigma_series((2, 1), Fraction(1, 2))
+            except AssertionError:
+                pass
+            else:
+                raise SystemExit("the series route returned a leaked degree")
+            """
+        )
+        subprocess.run([sys.executable, "-O", "-c", script], env=SRC_ENV, check=True)
 
     @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
     def test_certificate_accepts_only_the_stationary_masses(self, p):
