@@ -22,7 +22,7 @@ import sys
 from . import ensemble
 from .errors import EnumerationCapExceeded, SingularParameter
 from .lattice import Occupation, admit
-from .rational import format_rational, parse_rational
+from .rational import format_ratios, format_rational, parse_rational
 from .weights import ModelParams, partition_Z, q_weight, tilde_q_weight, w_sigma_operator
 
 EXIT_OK = 0
@@ -79,12 +79,13 @@ def _header(L: int, p: ModelParams) -> dict:
 def _cmd_mu(args) -> int:
     p = _params(args)
     dist = ensemble.stationary_mu(args.L, p, max_L=args.max_L)
+    probs = format_ratios(dist.masses, dist.total)
     if args.format == "csv":
         lines = ["state,probability"]
-        lines += [f"{s},{format_rational(pr)}" for s, pr in dist.items()]
+        lines += [f"{s},{pr}" for s, pr in zip(dist.states, probs)]
         _emit(args, "\n".join(lines))
     else:
-        law = {str(s): format_rational(pr) for s, pr in dist.items()}
+        law = {str(s): pr for s, pr in zip(dist.states, probs)}
         _emit(args, json.dumps({**_header(args.L, p), "mu": law}, indent=2))
     return EXIT_OK
 
@@ -177,7 +178,8 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     g = oracle.build_generator(args.L, r, max_L=args.max_L)
     dist = oracle.stationary_exact(g)
-    law = {str(s): format_rational(pr) for s, pr in dist.items()}
+    probs = format_ratios(dist.masses, dist.total)
+    law = {str(s): pr for s, pr in zip(dist.states, probs)}
     _emit(args, json.dumps({**_header(args.L, p), "pi": law}, indent=2))
     return EXIT_OK
 

@@ -27,13 +27,19 @@ instead of 8**L for one dense elimination, and each p-adic digit costs
 two matrix-vector products per block. The kernel eliminates by panels of
 PANEL columns and applies each panel to the rest of the matrix as one
 float64 (BLAS) product of residues, exact because the prime is kept
-below 2**24 (PANEL * p**2 < 2**53); it accumulates in int64 and reduces
-lazily, under the bound n * p**2 < 2**63 for an n x n block. The
-solution is kept as integer masses over one denominator and certified
-exactly against every column of the integer generator, x @ G = 0, before
-it is returned; solvability modulo the prime certifies that the
-nullspace is one-dimensional. A single block is one dense inverse: that
-case, solve_dixon, is kept as the small-system cross-check.
+below 2**24 (PANEL * p**2 < 2**53); the panel's factor is formed in
+float64 and its product is added to the int64 matrix by one casting add,
+which reduces lazily under the bound n * p**2 < 2**63 for an n x n block.
+The lifting keeps its residues, digits and products with the system in
+int64 whenever the system's entries and right-hand side bound every
+residue below 2**62, and in Python integers otherwise. Reconstruction is
+tried after 1, 2, 4, 8, ... digits, reading the entries in order over one
+running denominator. The solution is kept as integer masses over one
+denominator and certified exactly against every column of the integer
+generator, x @ G = 0, before it is returned; solvability modulo the
+prime certifies that the nullspace is one-dimensional. A single block is
+one dense inverse: that case, solve_dixon, is kept as the small-system
+cross-check.
 
 The Gillespie simulator at the bottom is the only code in the package
 whose results are floating point (the kernel's float64 products are
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, takewhile
+from itertools import chain
 from math import gcd, isfinite, isqrt, lcm
 
 import numpy as np
@@ -224,7 +230,12 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     then takes the panel's steps at once, a += (T[:, K] - I[:, K]) @ a[K],
     with both factors reduced to [0, p) and multiplied in float64, exact
     since each entry sums PANEL products below p**2 (see _primes_for), and
-    the copy is written back over columns K.
+    the copy is written back over columns K. The first factor is formed on
+    the float side: the reduced copy as float64, less one on the diagonal
+    of its rows K, which alone are reduced again. The product goes into one
+    float64 buffer that every panel reuses, and is added to the int64
+    matrix by one add that casts it in place, so no identity columns and
+    no n x n temporary per panel are made.
 
     Reduction is lazy: the whole matrix is reduced only in the panel's
     columns and in the rows that enter the product, which only adds, so
@@ -238,6 +249,7 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"prime {p} is too large for an exact {n} x {n} kernel")
     a = a % p
     swaps = []
+    product = np.empty((n, n))  # every panel's float64 product, in turn
     for k0 in range(0, n, PANEL):
         k1 = min(k0 + PANEL, n)
         panel = a[:, k0:k1] % p
@@ -253,7 +265,7 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
                 panel[[k, piv]] = panel[[piv, k]]
                 col[[k, piv]] = col[[piv, k]]
                 swaps.append((k, piv))
-            inv = pow(int(col[k]), p - 2, p)
+            inv = pow(int(col[k]), -1, p)
             row = panel[k] % p * inv % p
             row[k - k0] = inv
             col[k] = 0
@@ -261,14 +273,20 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
             panel[k] = row
             panel -= np.multiply.outer(col, row, out=outer)
         panel %= p
-        # T[:, K] - I[:, K], with I[:, K] the columns K of the n x n identity
-        update = (panel - np.eye(n, k1 - k0, -k0, dtype=np.int64)) % p
+        # T[:, K] - I[:, K] on the float side: I[:, K] is one on the
+        # diagonal of the rows K, where the difference is reduced again
+        update = panel.astype(np.float64)
+        block = update[k0:k1]
+        np.fill_diagonal(block, block.diagonal() - 1)
+        block %= p
         rows = (a[k0:k1] % p).astype(np.float64)
-        a += (update.astype(np.float64) @ rows).astype(np.int64)
+        np.matmul(update, rows, out=product)
+        np.add(a, product, out=a, casting="unsafe", dtype=np.int64)
         a[:, k0:k1] = panel
     for k, piv in reversed(swaps):
         a[:, [k, piv]] = a[:, [piv, k]]
-    return a % p
+    a %= p
+    return a
 
 
 def _rational_reconstruct(a: int, m: int) -> Fraction | None:
@@ -286,6 +304,39 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
     if gcd(abs(num), den) != 1:
         return None
     return Fraction(num, den)
+
+
+def _reconstruct_common(entries, m: int) -> tuple[list[int], int] | None:
+    """The entries, residues mod m, as integer numerators over one
+    denominator, or None at the first entry that does not reconstruct.
+
+    The entries are read in order against the denominator found so far:
+    an entry times that denominator, as a symmetric residue mod m, is taken
+    as its numerator if it is within sqrt(m/2); only otherwise is the entry
+    reconstructed alone (_rational_reconstruct) and the denominator grown
+    to the lcm. No entry after a failing one is read. While the denominator
+    stays within sqrt(m/2), as it does when the lcm of the entries' own
+    denominators does, an accepted numerator is the entry's own
+    reconstruction, so the result is that of reconstructing every entry
+    and taking the lcm, None included. Beyond that bound a wrong
+    candidate may come out, which the caller's exact check refuses.
+    """
+    bound = isqrt(m // 2)
+    den = 1
+    nums, dens = [], []  # each numerator over the denominator of its time
+    for e in entries:
+        t = e * den % m
+        if t > m // 2:
+            t -= m
+        if abs(t) > bound:
+            f = _rational_reconstruct(e, m)
+            if f is None:
+                return None
+            den = lcm(den, f.denominator)
+            t = f.numerator * (den // f.denominator)
+        nums.append(t)
+        dens.append(den)
+    return [t if d == den else t * (den // d) for t, d in zip(nums, dens)], den
 
 
 def _ell(r: np.ndarray, c: np.ndarray, v: np.ndarray, n: int):
@@ -307,6 +358,20 @@ def _gather(idx: np.ndarray, val: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # p-adic digits lifted per prime before the next prime is tried
 MAX_DIGITS = 4096
+
+
+def _lifting_dtype(val: np.ndarray, rhs: np.ndarray):
+    """int64 if no residue of the lifting can leave it, else object.
+
+    The system is given as padded rows val, k entries wide. A residue
+    starts as rhs and becomes (r - A x) / p for a digit vector x in [0, p),
+    and every prime is below 2**24 (see _primes_for), so each row of A x is
+    below k max|val| 2**24. If that and max|rhs| are below 2**62, every
+    residue stays below 2**62 by induction, and r - A x below 2**63.
+    """
+    top = int(abs(val).max(initial=0))
+    fits = max(map(abs, rhs), default=0) < 2**62 and val.shape[1] * top * 2**24 < 2**62
+    return np.int64 if fits else object
 
 
 def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[int]):
@@ -338,11 +403,17 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
     That elimination is lifted p-adically (Dixon, "Exact solution of
     linear equations using p-adic expansions", Numer. Math. 40, 1982):
     each p-adic digit costs one mod-p solve and one exact product with the
-    system. If the system is singular modulo p, the next prime is tried.
-    Entries are recovered by rational reconstruction at doubling
-    checkpoints, and a candidate is returned only once it satisfies the
-    system exactly, as integer numerators over their least common
-    denominator. Raises SingularSystem if every prime fails.
+    system, which takes the residue r to (r - A x) / p. Residues, digits
+    and those products stay in int64 when max|rhs| < 2**62 and (entries per
+    row) * max|v| * 2**24 < 2**62, which keeps every residue below 2**62
+    (_lifting_dtype), and are Python integers otherwise. If the system is
+    singular modulo p, the next prime is tried. Reconstruction is tried at
+    checkpoints of 1, 2, 4, 8, ... digits and at MAX_DIGITS: the entries
+    are read in order over one running denominator, stopping at the first
+    that fails (_reconstruct_common). A candidate is returned only once it
+    satisfies the system exactly, in Python integers, as integer
+    numerators over their least common denominator. Raises SingularSystem
+    if every prime fails.
     """
     n = len(rhs)
     bounds = np.cumsum([0, *sizes])
@@ -351,8 +422,9 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
         raise ValueError("system is not block tridiagonal")
     idx, val = _ell(r, c, v, n)
     rhs = np.array(rhs, dtype=object)
+    val = val.astype(_lifting_dtype(val, rhs))
 
-    def times(x):  # the exact product of the system with x
+    def times(x):  # the product of the system with x, in objects if either is
         return (val * x[idx]).sum(axis=1)
 
     def factor(p):  # the elimination over GF(p); returns its solver
@@ -399,24 +471,19 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
             solve = factor(p)
         except _SingularModP:
             continue
-        residue = rhs
+        residue = rhs.astype(val.dtype)
         combined = np.zeros(n, dtype=object)
         p_power = 1
-        checkpoint = 8
         for digits in range(1, MAX_DIGITS + 1):
-            xk = solve((residue % p).astype(np.int64)).astype(object)
-            combined += p_power * xk
+            xk = solve((residue % p).astype(np.int64, copy=False))
+            combined += p_power * xk.astype(object)
             p_power *= p
-            residue = (residue - times(xk)) // p  # exact: p divides it
-            if digits == checkpoint or digits == MAX_DIGITS:
-                checkpoint *= 2
-                # stop at the first entry that does not reconstruct yet
-                fits = (_rational_reconstruct(int(e), p_power) for e in combined)
-                x = list(takewhile(lambda f: f is not None, fits))
-                if len(x) < len(combined):
+            residue = (residue - times(xk)) // p  # p divides it
+            if digits & (digits - 1) == 0 or digits == MAX_DIGITS:
+                candidate = _reconstruct_common(combined, p_power)
+                if candidate is None:
                     continue
-                den = lcm(*(f.denominator for f in x))
-                num = [f.numerator * (den // f.denominator) for f in x]
+                num, den = candidate
                 if (times(np.array(num, dtype=object)) == den * rhs).all():
                     return num, den
         raise SingularSystem("p-adic lifting did not converge")

@@ -9,7 +9,8 @@ variable, computed two independent ways:
   (qcalc.dq_scaled) on the numerator, shifted by z for the latter. After
   L+1 applications the basis denominator has depth L+2 and the numerator
   coefficients are w. The walk runs on integer numerators over a power
-  of den(q) and is memoized by suffix of the parts.
+  of den(q), one D_q step from the element of a smaller composition, and
+  is memoized by suffix of the parts.
 * series route: multiply the truncated power series
   sum_n z^n prod_j ([n+j+1]_q)^(s_j) by the expanded (z;q)_(L+2); all
   product coefficients beyond degree L-r must cancel exactly.
@@ -73,25 +74,27 @@ _suffix_elements: dict[Fraction, dict[tuple[int, ...], tuple[list[int], int]]] =
 def _w_scaled(parts: tuple[int, ...], q: Fraction) -> tuple[list[int], int]:
     """Coefficients of w_parts as integers over den(q)**shift, with shift.
 
-    Parts are applied right to left, so the walk starts from the element
-    of the longest suffix already computed and memoizes each new one.
+    The element of (h, *rest) is one D_q step from a smaller one: D_q . z
+    of the element of (h - 1, *rest) when h >= 2, and D_q of the element of
+    rest when h = 1; the element of () is 1/(1-z). The walk goes down that
+    chain to the first element already known, then back up one step per
+    element, and memoizes the suffixes of parts it passes. Compositions
+    taken in sorted order find each (h - 1, *rest) memoized as a suffix of
+    (1, h - 1, *rest), so each costs one step.
     """
     memo = _suffix_elements.setdefault(q, {})
-    start = len(parts)
-    while start > 0 and parts[start - 1 :] in memo:
-        start -= 1
-    if start < len(parts):
-        nums, shift = memo[parts[start:]]
-    else:
-        nums, shift = [1], 0  # 1/(1-z) = 1/(z;q)_1
-    depth = sum(parts[start:]) + 1
-    for i in range(start - 1, -1, -1):
-        for k in range(parts[i]):
-            nums = dq_scaled(nums if k == 0 else [0, *nums], depth, q)
-            shift += depth - 1
-            depth += 1
-        memo[parts[i:]] = (nums, shift)
-    assert depth == sum(parts) + 1
+    chain = []
+    key = parts
+    while key and key not in memo:
+        chain.append(key)
+        key = (key[0] - 1, *key[1:]) if key[0] > 1 else key[1:]
+    nums, shift = memo[key] if key else ([1], 0)
+    for key in reversed(chain):
+        depth = sum(key)  # the element reached has depth + 1
+        nums = dq_scaled(nums if key[0] == 1 else [0, *nums], depth, q)
+        shift += depth - 1
+        if key[0] == parts[-len(key)]:  # a suffix of parts
+            memo[key] = (nums, shift)
     return nums, shift
 
 
@@ -194,15 +197,14 @@ def _key_weights(keys, p: ModelParams):
 
     With A = a/a', B = b/b' and w_sigma(AB) = W/D in lowest terms, a key
     weighs b**end a**start W / (b'**end a'**start D). w_sigma(AB) is read
-    once per distinct sigma.
+    once per distinct sigma, in sorted order (see _w_scaled); keys is
+    iterated twice.
     """
     a, a_den = p.A.numerator, p.A.denominator
     b, b_den = p.B.numerator, p.B.denominator
-    values: dict = {}
+    values = {sigma: _w_value(sigma, p.q, p.ab) for sigma in sorted({key[0] for key in keys})}
     for sigma, start, end in keys:
-        w = values.get(sigma)
-        if w is None:
-            w = values[sigma] = _w_value(sigma, p.q, p.ab)
+        w = values[sigma]
         num = b ** end * a ** start * w.numerator
         den = b_den ** end * a_den ** start * w.denominator
         g = gcd(num, den)

@@ -27,7 +27,9 @@ from asep2l.oracle import (
     _integer_generator,
     _inverse_mod_p,
     _is_stationary,
+    _lifting_dtype,
     _primes_for,
+    _reconstruct_common,
     _SingularModP,
     _solve_blocks,
     build_generator,
@@ -165,25 +167,44 @@ def integer_masses(dist: Distribution, dim: int) -> list[int]:
     return masses
 
 
-def corrupt_first_candidate(monkeypatch, n: int) -> tuple[dict, list]:
-    """Make the first complete rational reconstruction of an n-entry
-    solution wrong by one in its last entry. Returns the number of entries
-    reconstructed under each modulus, and the modulus of the corruption."""
-    real = oracle._rational_reconstruct
-    calls: dict = {}
+def corrupt_first_candidate(monkeypatch, n: int) -> tuple[list, list]:
+    """Make the first complete candidate of an n-entry solution, n integer
+    numerators over one denominator, wrong by one in its last numerator.
+    Returns the modulus of every reconstruction, and that of the corruption."""
+    real = oracle._reconstruct_common
+    moduli: list = []
     corrupted: list = []
 
-    def wrong_once(a, m):
-        f = real(a, m)
-        calls[m] = calls.get(m, 0) + 1
-        # entries reconstruct in order, stopping at the first failure
-        if f is not None and calls[m] == n and not corrupted:
+    def wrong_once(entries, m):
+        candidate = real(entries, m)
+        moduli.append(m)
+        if candidate is not None and not corrupted:
+            num, den = candidate
+            assert len(num) == n  # a candidate covers every entry
             corrupted.append(m)
-            return f + 1
-        return f
+            return num[:-1] + [num[-1] + 1], den
+        return candidate
 
-    monkeypatch.setattr(oracle, "_rational_reconstruct", wrong_once)
-    return calls, corrupted
+    monkeypatch.setattr(oracle, "_reconstruct_common", wrong_once)
+    return moduli, corrupted
+
+
+def record_lifting_dtypes(monkeypatch) -> list:
+    """The dtype each later solve lifts in, as _lifting_dtype picks it."""
+    real = oracle._lifting_dtype
+    dtypes: list = []
+
+    def spy(val, rhs):
+        dtypes.append(real(val, rhs))
+        return dtypes[-1]
+
+    monkeypatch.setattr(oracle, "_lifting_dtype", spy)
+    return dtypes
+
+
+def padic(value: F, m: int) -> int:
+    """The residue mod m of a rational whose denominator is a unit mod m."""
+    return value.numerator * pow(value.denominator, -1, m) % m
 
 
 class TestRates:
@@ -299,24 +320,37 @@ class TestExactSolvers:
         assert stationary_exact(g) == stationary_mu(12, p)
 
     def test_reconstruction_stops_at_the_first_failing_entry(self, monkeypatch):
-        calls = []
-        real = oracle._rational_reconstruct
+        calls, candidates = [], []
+        real_entry = oracle._rational_reconstruct
+        real_common = oracle._reconstruct_common
 
-        def counted(a, m):
-            calls.append((m, real(a, m)))
-            return calls[-1][1]
+        def entry(a, m):
+            calls.append((m, a, real_entry(a, m)))
+            return calls[-1][-1]
 
-        monkeypatch.setattr(oracle, "_rational_reconstruct", counted)
+        def common(entries, m):
+            candidates.append((m, list(entries), real_common(entries, m)))
+            return candidates[-1][-1]
+
+        monkeypatch.setattr(oracle, "_rational_reconstruct", entry)
+        monkeypatch.setattr(oracle, "_reconstruct_common", common)
         p = ModelParams(F(1, 3), F(2), F(5))
         g = build_generator(10, rates_from_params(p))
         dist = stationary_exact(g)
-        checkpoints = list(dict.fromkeys(m for m, _ in calls))
-        assert len(checkpoints) > 1  # the first checkpoint fails
-        for m in checkpoints[:-1]:
-            results = [f for mm, f in calls if mm == m]
+        assert len(candidates) > 1  # the first checkpoint fails
+        for m, entries, candidate in candidates[:-1]:
+            assert candidate is None
+            read = [a for mm, a, _ in calls if mm == m]
+            results = [f for mm, _, f in calls if mm == m]
             assert results[-1] is None and None not in results[:-1]
-        last = [f for mm, f in calls if mm == checkpoints[-1]]
-        assert len(last) == g.dim and None not in last
+            # the entries reconstructed alone come in order, and the last
+            # one, which fails, is the first entry that does not reconstruct
+            pos = 0
+            for a in read:
+                pos = entries.index(a, pos) + 1
+            assert all(real_entry(e, m) is not None for e in entries[: pos - 1])
+        num, den = candidates[-1][-1]
+        assert len(num) == g.dim
         assert dist == stationary_mu(10, p)
 
     def test_rates_to_the_own_word_do_not_change_the_law(self):
@@ -433,7 +467,7 @@ class TestExactSolvers:
     def test_exact_law_survives_a_wrong_candidate(self, monkeypatch):
         p = POINTS[1]
         g = build_generator(4, rates_from_params(p))
-        calls, corrupted = corrupt_first_candidate(monkeypatch, g.dim - 1)
+        calls, corrupted = corrupt_first_candidate(monkeypatch, g.dim)
         assert stationary_exact(g) == stationary_mu(4, p)
         assert corrupted and max(calls) > corrupted[0]  # a later checkpoint ran
 
@@ -447,8 +481,8 @@ class TestExactSolvers:
 
     @pytest.mark.parametrize("L, move", [(2, (0, 3)), (2, (3, 0)), (3, (1, 7))])
     def test_rejects_each_move_of_two_particles(self, L, move):
-        # a move out of or into the empty word, which the pin takes out of
-        # the solved system, and one between two other words
+        # a move out of the empty word, a move into it, whose entry the pin
+        # drops with the empty word's equation, and one between two other words
         rows = [{} for _ in range(1 << L)]
         source, target = move
         rows[source][target] = F(1)
@@ -564,6 +598,111 @@ class TestExactSolvers:
                 assert not _is_stationary(entries, bumped)
             assert not _is_stationary(entries, [-m for m in masses])
             assert not _is_stationary(entries, [0] * g.dim)
+
+    def test_lifting_dtype_follows_the_bound(self):
+        # int64 exactly while max|rhs| < 2**62 and k max|v| 2**24 < 2**62,
+        # for rows k entries wide; every prime is below 2**24
+        assert all(p < 2**24 for p in _primes_for(1))
+        val = np.array([[2**36, -3], [0, 0]], dtype=object)  # 2 * 2**36 * 2**24 = 2**61
+        assert _lifting_dtype(val, np.array([2**62 - 1, 1 - 2**62], dtype=object)) is np.int64
+        assert _lifting_dtype(val, np.array([0, 2**62], dtype=object)) is object
+        assert _lifting_dtype(val, np.array([-(2**62), 0], dtype=object)) is object
+        val[1, 0] = -(2**37)  # 2 * 2**37 * 2**24 = 2**62
+        assert _lifting_dtype(val, np.array([1, 1], dtype=object)) is object
+        empty = np.zeros((1, 0), dtype=object)
+        assert _lifting_dtype(empty, np.array([0], dtype=object)) is np.int64
+
+    @pytest.mark.parametrize("sizes", [[1], [3, 1, 40, 2], [PANEL + 5, 1, 7]])
+    def test_both_lifting_dtypes_give_one_solution(self, sizes, monkeypatch):
+        # entries and right-hand side scaled by 2**40 leave the solution
+        # alone and push the lifting from int64 to object integers
+        dtypes = record_lifting_dtypes(monkeypatch)
+        rows, rhs = random_block_system(random.Random(len(sizes)), sizes)
+        r, c, v = _entries(rows)
+        scaled = [b << 40 for b in rhs]
+        solutions = [
+            _solve_blocks(r, c, v, rhs, sizes),
+            _solve_blocks(r, c, v * 2**40, scaled, sizes),
+        ]
+        assert dtypes == [np.int64, object]
+        assert solutions[0] == solutions[1]
+        num, den = solutions[0]
+        for row, b in zip(rows, rhs):
+            assert sum(x * num[j] for j, x in row.items()) == den * b
+
+    def test_int64_lifting_at_its_bound(self, monkeypatch):
+        # the largest entries and right-hand side the int64 lifting admits
+        dtypes = record_lifting_dtypes(monkeypatch)
+        rng = random.Random(13)
+        sizes = [4, 9, 3]
+        rows, _ = random_block_system(rng, sizes)
+        width = max(map(len, rows))
+        top = max(abs(x) for row in rows for x in row.values())
+        scale = (2**62 - 1) // (width * top * 2**24)
+        rows = [{j: x * scale for j, x in row.items()} for row in rows]
+        rhs = [rng.choice([-1, 1]) * (2**62 - 1 - rng.randrange(9)) for _ in rows]
+        num, den = _solve_blocks(*_entries(rows), rhs, sizes)
+        assert dtypes == [np.int64]
+        for row, b in zip(rows, rhs):
+            assert sum(x * num[j] for j, x in row.items()) == den * b
+
+    def test_nine_digit_rates_match_the_marginal(self):
+        p = ModelParams(F(123456789, 987654321), F(1000000007, 3), F(5, 999999937))
+        assert stationary_exact(build_generator(6, rates_from_params(p))) == stationary_mu(6, p)
+
+    def test_running_denominator_equals_the_per_entry_route(self):
+        # while the lcm of the denominators is within sqrt(m/2), one running
+        # denominator gives every entry's own reconstruction, failures too
+        rng = random.Random(17)
+        prime = _primes_for(1)[0]
+        compared = []
+        for _ in range(200):
+            m = prime ** rng.choice([1, 2, 4, 8])
+            values = [
+                F(rng.randrange(-(2**20), 2**20), rng.randrange(1, 32))
+                for _ in range(rng.randrange(1, 40))
+            ]
+            entries = [padic(x, m) for x in values]
+            fits = []
+            for e in entries:
+                fits.append(oracle._rational_reconstruct(e, m))
+                if fits[-1] is None:
+                    break
+            den = lcm(*(f.denominator for f in fits if f is not None))
+            if den > isqrt(m // 2):
+                continue
+            expected = None
+            if None not in fits:
+                expected = [f.numerator * (den // f.denominator) for f in fits], den
+            assert _reconstruct_common(entries, m) == expected
+            compared.append(expected is None)
+        assert compared.count(True) > 20 and compared.count(False) > 100
+
+    def test_running_denominator_stops_at_the_first_failing_entry(self, monkeypatch):
+        m = _primes_for(1)[0] ** 4
+        rng = random.Random(19)
+        bad = rng.randrange(m)
+        while oracle._rational_reconstruct(bad, m) is not None:
+            bad = rng.randrange(m)
+        head_values = [F(3, 7), F(-5, 7), F(2), F(9, 14)]
+        # new denominators, which only a reconstruction of their own can find
+        tail_values = [F(1, 11), F(4, 13), F(-6, 17)]
+        head = [padic(x, m) for x in head_values]
+        tail = [padic(x, m) for x in tail_values]
+        read = []
+        real = oracle._rational_reconstruct
+
+        def spy(a, m):
+            read.append(a)
+            return real(a, m)
+
+        monkeypatch.setattr(oracle, "_rational_reconstruct", spy)
+        assert _reconstruct_common(head + [bad] + tail, m) is None
+        assert read[-1] == bad and set(read[:-1]) <= set(head)
+        read.clear()
+        num, den = _reconstruct_common(head + tail, m)
+        assert set(tail) <= set(read) and den == 14 * 11 * 13 * 17
+        assert [F(x, den) for x in num] == [*head_values, *tail_values]
 
     def test_primes_keep_int64_sums_exact(self):
         for k in (1, 924, 1 << 13, 1 << 16, 1 << 30):
