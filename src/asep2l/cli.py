@@ -5,8 +5,9 @@ compare. All rational inputs and outputs use the "p" or "p/q" text form;
 no floats cross the boundary except the simulator's frequencies. Exit
 codes: 0 success (or verification pass), 1 verification failure, 2 usage
 error or unwritable --out path (refused before any work), 3 singular
-parameters, 141 (128 + SIGPIPE) output pipe closed by its reader, as in
-`asep2l sample ... | head -1`.
+parameters, 4 exact solve failed (the oracle's system was singular modulo
+every prime tried, or its lifting did not converge), 141 (128 + SIGPIPE)
+output pipe closed by its reader, as in `asep2l sample ... | head -1`.
 
 Each subcommand imports only the modules it runs: the identity checkers,
 the sampler and the oracle are loaded by the commands that use them.
@@ -20,7 +21,7 @@ import os
 import sys
 
 from . import ensemble
-from .errors import EnumerationCapExceeded, SingularParameter
+from .errors import EnumerationCapExceeded, SingularParameter, SingularSystem
 from .lattice import Occupation, admit
 from .rational import format_ratios, format_rational, parse_rational
 from .weights import ModelParams, partition_Z, q_weight, tilde_q_weight, w_sigma_operator
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
+EXIT_SOLVE_FAILED = 4
 EXIT_BROKEN_PIPE = 141
 
 
@@ -297,6 +299,9 @@ def main(argv=None) -> int:
     except SingularParameter as exc:
         print(f"singular parameters: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except SingularSystem as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVE_FAILED
     except BrokenPipeError:
         # Python's documented recipe: point stdout at devnull, so that the
         # flush at exit writes nothing and raises nothing

@@ -25,11 +25,22 @@ to the exact rational solution (Dixon's method with rational
 reconstruction). This costs sum_N C(L, N)**3 operations per prime
 instead of 8**L for one dense elimination, and each p-adic digit costs
 two matrix-vector products per block. The kernel eliminates by panels of
-PANEL columns and applies each panel to the rest of the matrix as one
-float64 (BLAS) product of residues, exact because the prime is kept
-below 2**24 (PANEL * p**2 < 2**53); the panel's factor is formed in
-float64 and its product is added to the int64 matrix by one casting add,
-which reduces lazily under the bound n * p**2 < 2**63 for an n x n block.
+PANEL columns and applies each panel to the rest of the matrix as
+float64 (BLAS) products of residues, ROWS rows at a time, exact because
+the prime is kept below 2**24 (PANEL * p**2 < 2**53); the panel's factor
+is formed in float64 and each product is added to the int64 matrix by
+one casting add, which reduces lazily under the bound n * p**2 < 2**63
+for an n x n block.
+
+The elimination's memory is its inverses: one per block, kept as int32
+since every residue is below p < 2**24, C(2L, L) entries in all (41.6 MB
+at L = 13). Beside them it holds one Schur complement, as int64, which
+the kernel reduces and overwrites with its inverse in place before that
+is cast to int32, and workspaces of ROWS rows: the kernel's float64
+product, and the rows of Lo_{t+1} S_t^{-1} that the Schur update of
+those rows reads. Every other temporary is a panel, a slot, a vector or
+the int32 copy of a finished inverse, so no second int64 matrix of a
+block is made. The lifting reads the int32 inverses without copying them.
 The lifting keeps its residues, digits and products with the system in
 int64 whenever the system's entries and right-hand side bound every
 residue below 2**62, and in Python integers otherwise. Reconstruction is
@@ -175,10 +186,14 @@ def _integer_generator(g: GeneratorMatrix):
     """The generator with its denominators cleared, as entries (i, j, v) of
     G: each move i -> j at its scaled rate, then each word's diagonal entry,
     minus its row's sum. A row that lists its own word leaves two entries at
-    (i, i); they sum to G[i, i], in which that rate cancels."""
+    (i, i); they sum to G[i, i], in which that rate cancels. Each distinct
+    rate object is scaled once: build_generator shares six among all rows."""
     i, j, rates = _entries(g.rows)
-    scale = lcm(*{rate.denominator for rate in rates})
-    v = np.array([f.numerator * (scale // f.denominator) for f in rates], object)
+    ids = np.fromiter(map(id, rates), np.int64, len(rates))
+    _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+    distinct = rates[first]
+    scale = lcm(*{f.denominator for f in distinct})
+    v = np.array([f.numerator * (scale // f.denominator) for f in distinct], object)[which]
     diagonal = np.zeros(g.dim, dtype=object)
     np.subtract.at(diagonal, i, v)
     words = np.arange(g.dim)
@@ -187,26 +202,31 @@ def _integer_generator(g: GeneratorMatrix):
 
 # columns per panel of the Gauss-Jordan kernel: one float64 product per panel
 PANEL = 32
+# rows per float64 product of the kernel and per Schur update of the block
+# solve, which bounds their workspace
+ROWS = 64
 
 
-def _primes_for(k: int) -> list[int]:
-    """The five largest primes p with k * p**2 < 2**63 and PANEL * p**2 < 2**53.
+def _primes_for(k: int):
+    """The five largest primes p with k * p**2 < 2**63 and PANEL * p**2 < 2**53,
+    largest first, each found only when it is asked for.
 
     Every int64 kernel below adds at most k products of residues to a
     residue, a sum below k * p**2, so none of its sums can overflow; and
     _inverse_mod_p sums PANEL products of residues in float64, exact below
     2**53. At PANEL = 32 the second bound caps p at 2**24 - 1. Each odd
-    candidate is tested by trial division by the odd d <= sqrt(n).
+    candidate is tested by trial division by the odd d <= sqrt(n). A solve
+    almost always succeeds with the first prime, so the others are seldom
+    searched for.
     """
     top = min(isqrt((2**53 - 1) // PANEL), isqrt((2**63 - 1) // k))
+    assert k * top**2 < 2**63 and PANEL * top**2 < 2**53
     n = top - 1 + top % 2  # the largest odd number <= top
-    out = []
-    while len(out) < 5:
-        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
-            out.append(n)
+    for _ in range(5):
+        while not all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            n -= 2
+        yield n
         n -= 2
-    assert k * out[0] ** 2 < 2**63 and PANEL * out[0] ** 2 < 2**53
-    return out
 
 
 class _SingularModP(Exception):
@@ -214,8 +234,10 @@ class _SingularModP(Exception):
 
 
 def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square integer matrix over GF(p), entries in [0, p).
+    """Inverse of a square int64 matrix over GF(p), entries in [0, p).
 
+    The matrix a is consumed: it is reduced and overwritten with its
+    inverse, which is returned, so a caller that needs a passes a copy.
     In-place Gauss-Jordan elimination with partial pivoting (the first
     nonzero entry at or below the diagonal): step k scales the pivot row by
     the pivot's inverse, which takes the pivot's place, and subtracts
@@ -232,10 +254,11 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     since each entry sums PANEL products below p**2 (see _primes_for), and
     the copy is written back over columns K. The first factor is formed on
     the float side: the reduced copy as float64, less one on the diagonal
-    of its rows K, which alone are reduced again. The product goes into one
-    float64 buffer that every panel reuses, and is added to the int64
-    matrix by one add that casts it in place, so no identity columns and
-    no n x n temporary per panel are made.
+    of its rows K, which alone are reduced again. The product is taken
+    ROWS rows at a time into one float64 buffer of at most ROWS x n that
+    every panel reuses, and each part is added to the int64 matrix by one
+    add that casts it in place, so no identity columns and no n x n
+    temporary are made: beside a itself the kernel holds O((ROWS + PANEL) n).
 
     Reduction is lazy: the whole matrix is reduced only in the panel's
     columns and in the rows that enter the product, which only adds, so
@@ -247,9 +270,9 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[0]
     if not (n * p * p < 2**63 and PANEL * p * p < 2**53):
         raise ValueError(f"prime {p} is too large for an exact {n} x {n} kernel")
-    a = a % p
+    np.remainder(a, p, out=a)
     swaps = []
-    product = np.empty((n, n))  # every panel's float64 product, in turn
+    product = np.empty((min(n, ROWS), n))  # every panel's float64 product, by parts
     for k0 in range(0, n, PANEL):
         k1 = min(k0 + PANEL, n)
         panel = a[:, k0:k1] % p
@@ -280,8 +303,11 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
         np.fill_diagonal(block, block.diagonal() - 1)
         block %= p
         rows = (a[k0:k1] % p).astype(np.float64)
-        np.matmul(update, rows, out=product)
-        np.add(a, product, out=a, casting="unsafe", dtype=np.int64)
+        for i0 in range(0, n, ROWS):
+            i1 = min(i0 + ROWS, n)
+            part = product[: i1 - i0]
+            np.matmul(update[i0:i1], rows, out=part)
+            np.add(a[i0:i1], part, out=a[i0:i1], casting="unsafe", dtype=np.int64)
         a[:, k0:k1] = panel
     for k, piv in reversed(swaps):
         a[:, [k, piv]] = a[:, [piv, k]]
@@ -352,8 +378,8 @@ def _ell(r: np.ndarray, c: np.ndarray, v: np.ndarray, n: int):
 
 
 def _gather(idx: np.ndarray, val: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sparse rows (idx, val) times a vector or matrix x, unreduced."""
-    return np.einsum("rk,rk...->r...", val, x[idx])
+    """Sparse rows (idx, val) times a vector x, unreduced."""
+    return np.einsum("rk,rk->r", val, x[idx])
 
 
 # p-adic digits lifted per prime before the next prime is tried
@@ -388,17 +414,26 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
 
     Over GF(p) the system is eliminated block by block: the Schur
     complements are S_1 = D_1 and S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1}
-    Up_t, and each S_t^{-1} is kept mod p (_inverse_mod_p), so a single
-    block is one dense inverse. Both products with Lo and Up are gathers
-    (for the generator they hold only boundary moves, at most two per row
-    and per column), the second through the transpose of Up_t, and W_t =
-    S_t^{-1} Up_t is never formed. A solve is one forward sweep, z_t =
-    S_t^{-1} y_t with y_t = b_t - Lo_t z_{t-1}, and one backward sweep,
-    x_t = S_t^{-1} (y_t - Up_t x_{t+1}): two matrix-vector products per
-    block. No int64 kernel here sums more products than the largest block
-    has rows, since a row of Lo_t or Up_t, or of the transpose of Up_t, has
-    no more entries than the block it reaches, and the inverses' float64
-    products sum PANEL (see _primes_for).
+    Up_t, and each S_t^{-1} is kept mod p (_inverse_mod_p) as int32, which
+    holds every residue since p < 2**24, so a single block is one dense
+    inverse. S_{t+1} is updated in place, ROWS rows at a time: those rows
+    of Lo_{t+1} S_t^{-1} are summed into one int64 buffer, one slot of
+    Lo_{t+1}'s padded rows at a time (a gather of rows of the inverse),
+    reduced, and subtracted from S_{t+1} one slot of the padded rows of the
+    transpose of Up_t at a time (a gather of columns of the buffer); for
+    the generator both bands hold only boundary moves, at most two per row
+    and per column. W_t = S_t^{-1} Up_t is never formed, and the kernel
+    overwrites S_{t+1} with its inverse, so beside the int32 inverses the
+    elimination holds one Schur complement and O(ROWS n) for a block of n
+    rows. A solve is one forward sweep, z_t = S_t^{-1} y_t with y_t = b_t -
+    Lo_t z_{t-1}, and one backward sweep, x_t = S_t^{-1} (y_t - Up_t
+    x_{t+1}): two matrix-vector products per block, each of which reads an
+    int32 inverse as it is (np.einsum casts it in buffered chunks, where
+    matmul would copy it to int64 first). No int64 kernel here sums more
+    products than the largest block has rows, since a row of Lo_t or Up_t,
+    or of the transpose of Up_t, has no more entries than the block it
+    reaches, and the inverses' float64 products sum PANEL (see
+    _primes_for).
 
     That elimination is lifted p-adically (Dixon, "Exact solution of
     linear equations using p-adic expansions", Numer. Math. 40, 1982):
@@ -443,13 +478,21 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
                 los.append(_ell(*band(t, t - 1), sizes[t]))
                 i, j, x = band(t - 1, t)
                 ups.append(_ell(i, j, x, sizes[t - 1]))
-                lo_inv = _gather(*los[-1], invs[-1])
-                lo_inv %= p
-                s -= _gather(*_ell(j, i, x, sizes[t]), lo_inv.T).T
+                # the padded rows of Lo_t and of the transpose of Up_{t-1}, a slot a row
+                lo = [a.T for a in los[-1]]
+                up = [a.T for a in _ell(j, i, x, sizes[t])]
+                for r0 in range(0, sizes[t], ROWS):  # ROWS rows of S_t at a time
+                    rows = s[r0 : r0 + ROWS]
+                    lo_inv = np.zeros((len(rows), sizes[t - 1]), dtype=np.int64)
+                    for cols, vals in zip(*lo):
+                        lo_inv += vals[r0 : r0 + ROWS, None] * invs[-1][cols[r0 : r0 + ROWS]]
+                    lo_inv %= p
+                    for cols, vals in zip(*up):
+                        rows -= lo_inv[:, cols] * vals
             return s
 
         for t in range(len(sizes)):
-            invs.append(_inverse_mod_p(schur(t), p))
+            invs.append(_inverse_mod_p(schur(t), p).astype(np.int32))
 
         def solve(b):
             ys, z = [], None
@@ -458,10 +501,11 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
                 if t:
                     y = (y - _gather(*los[t - 1], z)) % p
                 ys.append(y)
-                z = inv @ y % p
+                z = np.einsum("ij,j->i", inv, y) % p
             x = [z]
             for t in reversed(range(len(invs) - 1)):
-                x.append(invs[t] @ ((ys[t] - _gather(*ups[t], x[-1])) % p) % p)
+                y = (ys[t] - _gather(*ups[t], x[-1])) % p
+                x.append(np.einsum("ij,j->i", invs[t], y) % p)
             return np.concatenate(x[::-1])
 
         return solve

@@ -442,6 +442,21 @@ def test_unwritable_out_path_is_refused_before_any_work(
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_failed_exact_solve_has_its_own_exit_code(monkeypatch, capsys, command):
+    from asep2l import oracle
+    from asep2l.errors import SingularSystem
+
+    def out_of_primes(g):
+        raise SingularSystem("system singular modulo every tested prime")
+
+    monkeypatch.setattr(oracle, "stationary_exact", out_of_primes)
+    code = main([command, "--L", "3", *P_ARGS])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "error: system singular modulo every tested prime\n"
+
+
 def test_failed_command_leaves_its_out_path_as_it_was(capsys, tmp_path):
     pole = ["verify", "--identity", "basic", "--L", "2", "--q", "1/2", "--A", "4", "--B", "1"]
     kept = tmp_path / "kept.json"

@@ -4,9 +4,10 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import accumulate
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 from pathlib import Path
 from textwrap import dedent
 
@@ -21,6 +22,7 @@ from asep2l.lattice import Occupation, enumerate_occupations
 from asep2l.oracle import (
     MAX_EVENTS,
     PANEL,
+    ROWS,
     GeneratorMatrix,
     Rates,
     _entries,
@@ -437,14 +439,22 @@ class TestExactSolvers:
             solve_dixon([{0: 1, 1: 2}, {0: 2, 1: 4}], [1, 2])
 
     def test_falls_through_to_next_prime(self):
-        p = _primes_for(1)[0]
+        p = next(_primes_for(1))
         assert solve_dixon([{0: p}], [3 * p]) == [3]
 
     @pytest.mark.parametrize(
-        "sizes", [[1], [3, 1, 40, 2], [PANEL + 5, 1, 7], [2, 1, 1, PANEL + 2, 5, 1]]
+        "sizes",
+        [
+            [1],
+            [3, 1, 40, 2],
+            [PANEL + 5, 1, 7],
+            [2, 1, 1, PANEL + 2, 5, 1],
+            [ROWS + 3, 2 * ROWS + 1, 5],
+        ],
     )
     def test_block_solve_equals_the_one_block_solve(self, sizes):
-        # uneven blocks, with 1-row blocks and blocks of more than one panel
+        # uneven blocks, with 1-row blocks, blocks of more than one panel and
+        # blocks whose Schur updates take more than one part of ROWS rows
         rng = random.Random(sum(sizes) * len(sizes))
         rows, rhs = random_block_system(rng, sizes)
         num, den = _solve_blocks(*_entries(rows), rhs, sizes)
@@ -501,19 +511,35 @@ class TestExactSolvers:
     def test_inverse_mod_p_is_an_inverse(self, n):
         rng = random.Random(n)
         # the largest prime this size admits, where lazy reduction is tightest
-        p = _primes_for(n)[0]
+        p = next(_primes_for(n))
         a = random_mod_p(rng, n, p)
         # a row swap is needed at the first step: column 0 is 0 above the last row
         a[:-1, 0] = 0
         a[-1, 0] = 3
-        inv = _inverse_mod_p(a, p)
+        inv = _inverse_mod_p(a.copy(), p)  # the kernel consumes its argument
         assert inv.dtype == np.int64 and ((0 <= inv) & (inv < p)).all()
         assert (inv == reference_inverse_mod_p(a, p)).all()
         exact = inv.astype(object) @ a.astype(object)
         assert ((exact % p) == np.eye(n, dtype=object)).all()
 
+    def test_block_solve_holds_little_beyond_its_inverses(self):
+        # numpy reports its buffers to tracemalloc; a first solve fills any
+        # cache, so the traced one holds only what the solve itself makes
+        L = 9
+        g = build_generator(L, rates_from_params(POINTS[2]))
+        stationary_exact(g)
+        tracemalloc.start()
+        try:
+            stationary_exact(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        inverses = comb(2 * L, L) * 4  # sum over N of C(L, N)**2 int32 entries
+        block = comb(L, L // 2) ** 2 * 8  # one int64 matrix of the largest block
+        assert peak < inverses + 7 * block
+
     def test_inverse_mod_p_refuses_a_singular_matrix(self):
-        p = _primes_for(3)[0]
+        p = next(_primes_for(3))
         a = np.array([[1, 2, 3], [2, 4, 6 + p], [0, 1, 1]])  # row 2 = 2 * row 1 mod p
         with pytest.raises(_SingularModP):
             _inverse_mod_p(a, p)
@@ -523,25 +549,25 @@ class TestExactSolvers:
     @pytest.mark.parametrize("n", [2, 40, 100])
     def test_inverse_mod_p_swaps_at_every_early_step(self, n):
         rng = random.Random(n + 1)
-        p = _primes_for(n)[0]
+        p = next(_primes_for(n))
         a = random_mod_p(rng, n, p)
         h = n // 2
         a[:h, :h] = 0  # the first h pivots all come from below row h - 1
-        assert (_inverse_mod_p(a, p) == reference_inverse_mod_p(a, p)).all()
+        assert (_inverse_mod_p(a.copy(), p) == reference_inverse_mod_p(a, p)).all()
 
     def test_inverse_mod_p_swaps_inside_the_second_panel(self):
         n = 100
         rng = random.Random(33)
-        p = _primes_for(n)[0]
+        p = next(_primes_for(n))
         a = random_mod_p(rng, n, p)
         a[:, PANEL + 1] = 0  # zero but in its last row: a swap at step 33
         a[-1, PANEL + 1] = 5
-        assert (_inverse_mod_p(a, p) == reference_inverse_mod_p(a, p)).all()
+        assert (_inverse_mod_p(a.copy(), p) == reference_inverse_mod_p(a, p)).all()
 
     @pytest.mark.parametrize("n", [3, 65, 100])
     def test_inverse_mod_p_refuses_a_dependency_in_the_last_panel(self, n):
         rng = random.Random(n + 2)
-        p = _primes_for(n)[0]
+        p = next(_primes_for(n))
         a = random_mod_p(rng, n, p)
         # the last column is a combination of two others modulo p, and
         # only the last step of the last panel can see it
@@ -583,6 +609,33 @@ class TestExactSolvers:
             """
         )
         subprocess.run([sys.executable, "-O", "-c", script], env=SRC_ENV, check=True)
+
+    def test_integer_generator_equals_per_entry_scaling(self):
+        def per_entry(g):  # every entry scaled on its own, over the lcm of all
+            rates = [f for row in g.rows for f in row.values()]
+            scale = lcm(*(f.denominator for f in rates))
+            v = [f.numerator * (scale // f.denominator) for f in rates]
+            i = [w for w, row in enumerate(g.rows) for _ in row]
+            j = [c for row in g.rows for c in row]
+            diagonal = [0] * g.dim
+            for w, x in zip(i, v):
+                diagonal[w] -= x
+            words = list(range(g.dim))
+            return i + words, j + words, v + diagonal
+
+        generators = [
+            build_generator(L, rates_from_params(p)) for L in range(1, 7) for p in POINTS
+        ]
+        # equal rates as distinct objects, and a rate that no other entry shares
+        rows = [
+            {j: F(f.numerator, f.denominator) for j, f in row.items()}
+            for row in build_generator(4, rates_from_params(POINTS[1])).rows
+        ]
+        rows[5][4] = F(7, 9)
+        assert len({id(f) for row in rows for f in row.values()}) == sum(map(len, rows))
+        generators.append(GeneratorMatrix(4, tuple(rows)))
+        for g in generators:
+            assert [a.tolist() for a in _integer_generator(g)] == list(per_entry(g))
 
     @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
     def test_certificate_accepts_only_the_stationary_masses(self, p):
@@ -654,7 +707,7 @@ class TestExactSolvers:
         # while the lcm of the denominators is within sqrt(m/2), one running
         # denominator gives every entry's own reconstruction, failures too
         rng = random.Random(17)
-        prime = _primes_for(1)[0]
+        prime = next(_primes_for(1))
         compared = []
         for _ in range(200):
             m = prime ** rng.choice([1, 2, 4, 8])
@@ -679,7 +732,7 @@ class TestExactSolvers:
         assert compared.count(True) > 20 and compared.count(False) > 100
 
     def test_running_denominator_stops_at_the_first_failing_entry(self, monkeypatch):
-        m = _primes_for(1)[0] ** 4
+        m = next(_primes_for(1)) ** 4
         rng = random.Random(19)
         bad = rng.randrange(m)
         while oracle._rational_reconstruct(bad, m) is not None:
@@ -706,7 +759,7 @@ class TestExactSolvers:
 
     def test_primes_keep_int64_sums_exact(self):
         for k in (1, 924, 1 << 13, 1 << 16, 1 << 30):
-            primes = _primes_for(k)
+            primes = list(_primes_for(k))
             assert len(set(primes)) == 5
             for p in primes:
                 assert p <= FLOAT_CAP and k * p * p < 2**63
@@ -722,7 +775,7 @@ class TestExactSolvers:
             if n > 1 and all(n % d for d in range(2, isqrt(n) + 1)):
                 expected.append(n)
             n -= 1
-        assert _primes_for(k) == expected
+        assert list(_primes_for(k)) == expected
 
 
 class TestGillespie:
