@@ -3,13 +3,16 @@
 The two-layer law normalizes the weight Q over all 4**L pairs (tau, xi);
 the stationary measure of the exclusion process is its top-layer marginal.
 A pair's weight depends only on its path, and the path's weight only on
-its composition and the heights of its ends above its minimum. The
-marginal therefore weighs each distinct such key once, puts the 3**L path
-weights over one common denominator as integers, and folds them into the
-2**L top-layer masses by their first site, depth first: an up step forces
-bit 1, a down step bit 0, and a level step adds to both, and each half
-folds the sites after it the same way. That is O(3**L) integer additions,
-and the law keeps those masses over their total: it divides only when read.
+its key: its composition and the heights of its ends above its minimum.
+The marginal therefore weighs each distinct key of length L once, as an
+integer over one common denominator, and folds those weights back along
+the walk of keys (weights._key_levels), one site at a time, into the
+2**L top-layer masses: an up step forces the site's bit to 1, a down step
+to 0, and a level step adds to both. Each length holds about 7 * 2**L
+masses, so the 3**L paths are never tabulated. The path law and the
+sampler gather the same key weights forward, along the same links, into
+the table of the 3**L path weights in step-lexicographic order. The law
+keeps its masses over their total: it divides only when read.
 _path_mass_into, which spreads one path over its 2**H top layers with
 Fractions, is kept as the slow reference for the path law's pushforward.
 
@@ -19,7 +22,6 @@ All arithmetic is exact; no floats enter this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Iterable
 
@@ -35,7 +37,7 @@ from .lattice import (
     path_of,
 )
 from .record import Record
-from .weights import ModelParams, _extend, _key_weights, q_weight
+from .weights import ModelParams, _key_integers, _key_levels, q_weight
 
 
 class Distribution(Record, frozen=True):
@@ -128,52 +130,57 @@ def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None
         sub = (sub - 1) & mask
 
 
+def _walk(L: int, p: ModelParams) -> tuple[list, list[int], int]:
+    """The id lists (down, level, up) of lengths 1..L of the key walk, in
+    order, and the weights of the keys of length L as integers over one
+    common denominator, which is returned with them."""
+    links = []
+    for keys, *link in _key_levels(L):
+        links.append(link)
+    return links[1:], *_key_integers(keys, p)
+
+
+def _fold_masses(links: list, weights: list[int]) -> list[int]:
+    """Top-layer masses of the paths, in enumerate_occupations order, from
+    the weights of the keys at the end of links.
+
+    Folded back one length at a time: a key's masses, over the top layers
+    of the sites after it, are those of its down and level children added
+    entrywise (the next site empty) followed by those of its up and level
+    children (the next site occupied); a key of the last length has its
+    weight as its only mass. A length holds about 7 * 2**L masses in all.
+    """
+    masses = [[w] for w in weights]
+    for down, level, up in reversed(links):
+        masses = [
+            [*map(add, masses[d], masses[h]), *map(add, masses[u], masses[h])]
+            for d, h, u in zip(down, level, up)
+        ]
+    return masses[0]
+
+
+def _next_ids(ids: list, down: list, level: list, up: list) -> list:
+    """Key ids of the paths one step longer, in step-lexicographic order,
+    from those of the paths of the previous length."""
+    moves = list(zip(down, level, up))
+    return [child for i in ids for child in moves[i]]
+
+
 def _path_weights(L: int, p: ModelParams) -> tuple[list[int], int]:
     """Weights of the 3**L paths in step-lexicographic order, as integers
-    over one common denominator, which is returned with them.
-
-    Paths are grown one step at a time as ids into the list of distinct
-    keys of their length, so each key is extended and weighed once.
-    """
-    keys = [((1,), 0, 0)]
+    over one common denominator, which is returned with them."""
+    links, weights, den = _walk(L, p)
     ids = [0]
-    for _ in range(L):
-        index: dict = {}
-        moves = [
-            [index.setdefault(_extend(key, step), len(index)) for step in (-1, 0, 1)]
-            for key in keys
-        ]
-        ids = [child for i in ids for child in moves[i]]
-        keys = list(index)
-    weights = list(_key_weights(keys, p))
-    den = lcm(*(d for _, d in weights))
-    scaled = [n * (den // d) for n, d in weights]
-    return [scaled[i] for i in ids], den
-
-
-def _spread(weights: list[int], L: int) -> list[int]:
-    """Fold path weights into top-layer masses by their first site.
-
-    weights is in step-lexicographic order (site 1 most significant, steps
-    -1 < 0 < +1); the result is in the order of enumerate_occupations. The
-    paths whose first step is down or level spread over the words that
-    start with 0, and those whose first step is up or level over the words
-    that start with 1; each half folds the remaining L - 1 sites in turn.
-    The recursion is depth first, so only one branch's sums are alive.
-    """
-    if L == 0:
-        return weights
-    n = len(weights) // 3
-    level = weights[n : 2 * n]
-    low = _spread(list(map(add, weights[:n], level)), L - 1)
-    return low + _spread(list(map(add, weights[2 * n :], level)), L - 1)
+    for link in links:
+        ids = _next_ids(ids, *link)
+    return [weights[i] for i in ids], den
 
 
 def stationary_mu(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:
     """Stationary measure of the exclusion process as the top marginal."""
     admit("marginal", L, max_L)
-    weights, _ = _path_weights(L, p)
-    return Distribution(list(enumerate_occupations(L)), _spread(weights, L))
+    links, weights, _ = _walk(L, p)
+    return Distribution(list(enumerate_occupations(L)), _fold_masses(links, weights))
 
 
 class PhiTable(Record, frozen=True):
@@ -196,9 +203,9 @@ def phi_table(L: int, p: ModelParams, max_L: int | None = None) -> PhiTable:
     """Exact basic-weight table; raises SingularParameter at poles."""
     admit("marginal", L, max_L)
     scale = p.tilde_scale(L)
-    weights, den = _path_weights(L, p)
+    links, weights, den = _walk(L, p)
     unit = scale / den
-    masses = _spread(weights, L)
+    masses = _fold_masses(links, weights)
     values = {occ: unit * m for occ, m in zip(enumerate_occupations(L), masses)}
     return PhiTable(L, p, values)
 

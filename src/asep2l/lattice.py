@@ -15,7 +15,6 @@ calls admit once, at entry, with its row of MAX_L.
 from __future__ import annotations
 
 import os
-from itertools import accumulate, product
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapExceeded
@@ -24,7 +23,7 @@ from .record import Record
 # Largest admitted L per kind of work. The README lists the operations of
 # each row and the measured cost at its default.
 MAX_L = {
-    "marginal": 12,  # 3**L paths spread over 2**L top layers
+    "marginal": 12,  # path_law's 3**L paths; the marginal folds ~7 * 2**L keys
     "pairs": 10,  # 4**L (tau, xi) pairs held as Fractions
     "paths": 14,  # 3**L paths
     "generator": 12,  # 2**L-state generator and its exact solve
@@ -216,11 +215,30 @@ def enumerate_pairs(L: int) -> Iterator[tuple[Occupation, Occupation]]:
 
 
 def enumerate_paths(L: int) -> Iterator[LatticePath]:
-    """All 3**L paths of length L in step-lexicographic order."""
+    """All 3**L paths of length L in step-lexicographic order.
+
+    Each path is grown depth first with its minimum, maximum and number of
+    level steps carried along, and its fields are set directly: its steps
+    are valid by construction, so the checks of LatticePath(values), which
+    are for outside input, are not run again.
+    """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    for steps in product((-1, 0, 1), repeat=L):
-        yield LatticePath(accumulate(steps, initial=0))
+    return _grow_paths((0,), 0, 0, 0, L)
+
+
+def _grow_paths(values, lo, hi, level, left):
+    """The paths that extend values by left more steps, in step order;
+    lo, hi and level are the minimum, maximum and level steps of values."""
+    if not left:
+        path = LatticePath.__new__(LatticePath)
+        path._init(values, lo, hi, values[-1], level)
+        yield path
+        return
+    end = values[-1]
+    yield from _grow_paths(values + (end - 1,), min(lo, end - 1), hi, level, left - 1)
+    yield from _grow_paths(values + (end,), lo, hi, level + 1, left - 1)
+    yield from _grow_paths(values + (end + 1,), lo, max(hi, end + 1), level, left - 1)
 
 
 def tau_from_path(gamma: LatticePath, eta: Sequence[int]) -> Occupation:

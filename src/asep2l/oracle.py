@@ -17,11 +17,12 @@ diagonal included; the pin x(empty) = 1, which replaces the empty word's
 redundant equation, the block solve and the exact certificate all read
 those arrays. The solver for block-tridiagonal integer systems,
 _solve_blocks, takes the entries of that pinned system; its bands Lo (to
-the previous block), D (to its own) and Up (to the next) are masks of
-those entries. It eliminates block by block modulo a word-sized prime,
-inverting each Schur complement S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1}
-Up_t by one Gauss-Jordan kernel, and lifts that elimination p-adically
-to the exact rational solution (Dixon's method with rational
+the previous block), D (to its own) and Up (to the next) are slices of
+those entries, sorted once by (row block, column block). It eliminates
+block by block modulo a word-sized prime, inverting each Schur
+complement S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1} Up_t by one
+Gauss-Jordan kernel, and lifts that elimination p-adically to the exact
+rational solution (Dixon's method with rational
 reconstruction). This costs sum_N C(L, N)**3 operations per prime
 instead of 8**L for one dense elimination, and each p-adic digit costs
 two matrix-vector products per block. The kernel eliminates by panels of
@@ -400,6 +401,19 @@ def _lifting_dtype(val: np.ndarray, rhs: np.ndarray):
     return np.int64 if fits else object
 
 
+def _band_order(r: np.ndarray, c: np.ndarray, bounds: np.ndarray):
+    """The entries (row r, column c) sorted stably by (row block, column
+    block), as an order and the edges of its bands: the entries from block
+    t to block u are order[edges[k] : edges[k + 1]], with k = 2t + u + 1.
+    Raises ValueError for an entry outside the bands, |t - u| > 1."""
+    br, bc = (np.searchsorted(bounds, a, side="right") - 1 for a in (r, c))
+    if (abs(bc - br) > 1).any():
+        raise ValueError("system is not block tridiagonal")
+    k = 2 * br + bc + 1
+    order = np.argsort(k, kind="stable")
+    return order, np.searchsorted(k[order], np.arange(3 * (len(bounds) - 1) + 1))
+
+
 def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[int]):
     """Solve a nonsingular block-tridiagonal integer system exactly.
 
@@ -408,9 +422,11 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
     consecutive blocks of the given sizes, and a row of block t may reach
     only the columns of blocks t - 1, t and t + 1; any other entry raises
     ValueError. The entries are padded once into sparse rows for the exact
-    products. The bands of block t are masks of the entries: D_t (to block
-    t itself), summed into a dense matrix, and Lo_t (to block t - 1) and
-    Up_t (to block t + 1), compacted into sparse rows of their own.
+    products. The entries are sorted once, stably, by (row block, column
+    block) (_band_order), so that each band of block t is a slice of that
+    order: D_t (to block t itself), summed into a dense matrix, and Lo_t
+    (to block t - 1) and Up_t (to block t + 1), compacted into sparse rows
+    of their own.
 
     Over GF(p) the system is eliminated block by block: the Schur
     complements are S_1 = D_1 and S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1}
@@ -452,9 +468,7 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
     """
     n = len(rhs)
     bounds = np.cumsum([0, *sizes])
-    br, bc = (np.searchsorted(bounds, a, side="right") - 1 for a in (r, c))
-    if (abs(bc - br) > 1).any():
-        raise ValueError("system is not block tridiagonal")
+    order, edges = _band_order(r, c, bounds)
     idx, val = _ell(r, c, v, n)
     rhs = np.array(rhs, dtype=object)
     val = val.astype(_lifting_dtype(val, rhs))
@@ -467,7 +481,7 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
         invs, los, ups = [], [], []
 
         def band(t, u):  # block t to block u, with rows and columns local
-            m = (br == t) & (bc == u)
+            m = order[edges[2 * t + u + 1] : edges[2 * t + u + 2]]
             return r[m] - bounds[t], c[m] - bounds[u], vp[m]
 
         def schur(t):  # S_t, returned so that no reference outlives its inversion

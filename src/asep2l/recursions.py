@@ -14,23 +14,26 @@ order, so
 
     Qt_L(tau, xi) = tilde_scale(L) * W_L[that number] / den_L
 
-with (W_L, den_L) = ensemble._path_weights(L). Summed over the bottom
-layer, Phi_L(tau) = tilde_scale(L) * M_L[tau's number] / den_L, with the
-top-layer masses M_L = ensemble._spread(W_L, L) numbered by tau's bits,
-site 1 first. So an equation is checked once per entry k of the short
-table: the added sites put their digits first, last or between a prefix
-and a suffix (bulk), and each side is the slice of a table whose digit
-of one place value is fixed (_digit). With the constants over one
-denominator, an entry is one integer comparison,
-kl * (cd * hi[a] - cn * hi[b]) == kr * lo[k]. A report still counts every
-pair (or top layer, for Phi) as an instance; only when an entry fails are
-the instances walked, in enumerate_pairs (enumerate_occupations) order,
-to keep the first failures with their Fraction sides.
+with W_L the path weights of size L as integers over den_L, in the order
+of ensemble._path_weights. Summed over the bottom layer, Phi_L(tau) =
+tilde_scale(L) * M_L[tau's number] / den_L, with the top-layer masses M_L
+of ensemble._fold_masses numbered by tau's bits, site 1 first. So an
+equation is checked once per entry k of the short table: the added sites
+put their digits first, last or between a prefix and a suffix (bulk),
+and each side is the slice of a table whose digit of one place value is
+fixed (_digit). With the constants over one denominator, an entry is
+one integer comparison, kl * (cd * hi[a] - cn * hi[b]) == kr * lo[k]. A
+report still counts every pair (or top layer, for Phi) as an instance;
+only when an entry fails are the instances walked, in enumerate_pairs
+(enumerate_occupations) order, to keep the first failures with their
+Fraction sides.
 
-A table is built once per size and verification run: each public checker
-is a run of its own, and _verify, the run of the `verify` command, keeps
-the tables of every size it reads (the basic weight equations' included)
-in a dict of its own that is dropped when it returns.
+A verification run walks the keys once (weights._key_levels), up to the
+largest size it reads, and builds from that one walk the tables of every
+size: each size's keys are weighed once, and their weights are gathered
+forward into W_L and folded back into M_L. Each public checker is a run
+of its own, and _verify, the run of the `verify` command, keeps the
+tables for all its checks and drops them when it returns.
 
 Each public checker admits its size against the `verify` row of MAX_L
 (the bulk checker the long pair's L1 + L2 + 2, after refusing a negative
@@ -44,10 +47,10 @@ from fractions import Fraction
 from itertools import product
 from operator import add
 
-from .ensemble import _path_weights, _spread
+from .ensemble import _fold_masses, _next_ids
 from .lattice import Occupation, admit, enumerate_occupations, enumerate_pairs
 from .record import Record
-from .weights import ModelParams
+from .weights import ModelParams, _key_integers, _key_levels
 
 FAILURES_KEPT = 10
 
@@ -103,16 +106,29 @@ class VerificationReport(Record):
         }
 
 
-def _table(L: int, p: ModelParams, tables: dict) -> tuple[list[int], Fraction]:
-    """Path weights W_L and the unit with Qt_L = unit * W_L[number], kept
-    in tables, the dict of one verification run; raises SingularParameter
-    at the poles of size L."""
-    table = tables.get(L)
-    if table is None:
-        scale = p.tilde_scale(L)
-        weights, den = _path_weights(L, p)
-        table = tables[L] = weights, scale / den
-    return table
+def _tables(top: int, p: ModelParams, masses_to: int) -> list:
+    """The tables of every size up to top, from one walk of the keys.
+
+    Entry L is (W_L, M_L, den_L): the path weights and, for L <= masses_to
+    (else None), the top-layer masses of size L, both as integers over
+    den_L.
+    """
+    tables, links, ids = [], [], [0]
+    for keys, *link in _key_levels(top):
+        if tables:
+            links.append(link)
+            ids = _next_ids(ids, *link)
+        weights, den = _key_integers(keys, p)
+        masses = _fold_masses(links, weights) if len(tables) <= masses_to else None
+        tables.append(([weights[i] for i in ids], masses, den))
+    return tables
+
+
+def _table(L: int, p: ModelParams, tables: list) -> tuple[list[int], Fraction]:
+    """Path weights W_L and the unit with Qt_L = unit * W_L[number];
+    raises SingularParameter at the poles of size L."""
+    weights, _, den = tables[L]
+    return weights, p.tilde_scale(L) / den
 
 
 def _number(tau: Occupation, xi: Occupation) -> int:
@@ -185,10 +201,10 @@ def _boundary(report, L, p, prepend: bool, coef, factors, tables) -> None:
 def check_left_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Prepending a site: Qt(0 tau | x' xi) - qA Qt(1 tau | x' xi) = A**x' Qt(tau | xi)."""
     admit("verify", L)
-    return _left_boundary(L, p, {})
+    return _left_boundary(L, p, _tables(L + 1, p, -1))
 
 
-def _left_boundary(L: int, p: ModelParams, tables: dict) -> VerificationReport:
+def _left_boundary(L: int, p: ModelParams, tables: list) -> VerificationReport:
     report = VerificationReport("left-boundary", f"L={L}", p)
     _boundary(report, L, p, True, p.q * p.A, (1, p.A), tables)
     return report
@@ -197,10 +213,10 @@ def _left_boundary(L: int, p: ModelParams, tables: dict) -> VerificationReport:
 def check_right_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Appending a site: Qt(tau 1 | xi x') - qB Qt(tau 0 | xi x') = B**(1-x') Qt(tau | xi)."""
     admit("verify", L)
-    return _right_boundary(L, p, {})
+    return _right_boundary(L, p, _tables(L + 1, p, -1))
 
 
-def _right_boundary(L: int, p: ModelParams, tables: dict) -> VerificationReport:
+def _right_boundary(L: int, p: ModelParams, tables: list) -> VerificationReport:
     report = VerificationReport("right-boundary", f"L={L}", p)
     _boundary(report, L, p, False, p.q * p.B, (p.B, 1), tables)
     return report
@@ -211,10 +227,10 @@ def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
     if L1 < 0 or L2 < 0:
         raise ValueError(f"part sizes must be nonnegative, got L1={L1}, L2={L2}")
     admit("verify", L1 + L2 + 2)
-    return _bulk(L1, L2, p, {})
+    return _bulk(L1, L2, p, _tables(L1 + L2 + 2, p, -1))
 
 
-def _bulk(L1: int, L2: int, p: ModelParams, tables: dict) -> VerificationReport:
+def _bulk(L1: int, L2: int, p: ModelParams, tables: list) -> VerificationReport:
     report = VerificationReport("bulk", f"L1={L1},L2={L2}", p)
     hi, unit_hi = _table(L1 + L2 + 2, p, tables)
     lo, unit_lo = _table(L1 + L2 + 1, p, tables)
@@ -244,14 +260,14 @@ def _bulk(L1: int, L2: int, p: ModelParams, tables: dict) -> VerificationReport:
 def check_basic_weight_equations(L: int, p: ModelParams) -> VerificationReport:
     """The four equations for Phi, over all sizes up to L."""
     admit("verify", L)
-    return _basic_weight_equations(L, p, {})
+    return _basic_weight_equations(L, p, _tables(L, p, L))
 
 
-def _basic_weight_equations(L: int, p: ModelParams, tables: dict) -> VerificationReport:
+def _basic_weight_equations(L: int, p: ModelParams, tables: list) -> VerificationReport:
     report = VerificationReport("basic-weight-equations", f"L<={L}", p)
     # Phi_ell = units[ell] * masses[ell], in enumerate_occupations order
-    weights, units = zip(*(_table(ell, p, tables) for ell in range(L + 1)))
-    masses = [_spread(w, ell) for ell, w in enumerate(weights)]
+    units = [_table(ell, p, tables)[1] for ell in range(L + 1)]
+    masses = [tables[ell][1] for ell in range(L + 1)]
     # Phi_0(empty) = 1, as Phi_0(empty) - 0 * 0 = 1 * 1
     initial = _mismatches((units[0], Fraction(1)), 0, 1, masses[0], [0], [1])
     _tally(report, 1, initial, lambda: [(initial.get(0), {"equation": "initial"})])
@@ -292,7 +308,9 @@ def _basic_weight_equations(L: int, p: ModelParams, tables: dict) -> Verificatio
 def _verify(L: int, p: ModelParams, which: str) -> list[VerificationReport]:
     """The reports of one `verify` run over sizes up to L, in its order;
     which is "left", "right", "bulk", "basic" or "all"."""
-    tables: dict = {}
+    # the boundary checks read size L + 1, the others sizes up to L
+    top = L if which in ("bulk", "basic") else L + 1
+    tables = _tables(top, p, L if which in ("basic", "all") else -1)
     reports = []
     if which in ("left", "all"):
         reports += [_left_boundary(ell, p, tables) for ell in range(L + 1)]

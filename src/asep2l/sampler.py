@@ -6,11 +6,12 @@ in the first cell with C_i / T > U / 2**128. For integer C_i that is
 C_i > floor(U * T / 2**128), so one integer product, one shift and a
 bisection place every draw exactly, with no cell boundary misjudged.
 
-The sampler weighs the 3**L paths over one common denominator (the
-table stationary_mu builds), gives each path the mass w << H of its 2**H
-pairs, H being its number of level steps, and fills the level steps of a
-drawn path with fair coin flips, from site 1 to site L, so the 4**L pairs
-are never tabulated. Identical seeds and parameters reproduce identical
+The sampler weighs the 3**L paths over one common denominator (the path
+table path_law reads, gathered from the weights of the distinct path
+keys along their walk), gives each path the mass w << H of its 2**H
+pairs, H being its number of level steps, and fills the level steps of
+a drawn path with fair coin flips, from site 1 to site L, so the 4**L
+pairs are never tabulated. Identical seeds and parameters reproduce identical
 batches.
 """
 

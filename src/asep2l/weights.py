@@ -28,16 +28,23 @@ poles A*B*q**k = 1 for k = 2..L+1.
 The weight depends on the path only through its key (composition, start
 height, end height), and _key_weights weighs keys on integers: with
 A = a/a', B = b/b' and w(AB) = W/D in lowest terms, a key weighs
-b**end a**start W over b'**end a'**start D, reduced by one gcd. The path
-table of the marginal puts these integers over the lcm of their
-denominators, and partition_Z sums them.
+b**end a**start W over b'**end a'**start D, reduced by one gcd.
+
+Every sum over paths is a fold over one walk of those keys, _key_levels,
+which grows the distinct keys one length at a time (about 7 * 2**L of
+them, against 3**L paths) and links each length's keys to the previous
+one's by a down, a level and an up step. partition_Z carries each key's
+multiplicity forward along those links; ensemble folds the key weights
+backward into the top-layer masses, and forward into the path table of
+the path law and the sampler; the identity checkers read both, for every
+size, from one walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import SingularParameter
 from .lattice import (
@@ -244,26 +251,60 @@ def _extend(key: tuple[tuple[int, ...], int, int], step: int):
     return sigma[:h] + (sigma[h] + 1,) + sigma[h + 1 :], start, h
 
 
+def _key_levels(L: int):
+    """Walk the distinct keys of the paths of each length 0..L.
+
+    Yields, for each length in turn, its keys and three id lists, down,
+    level and up: entry i of each is the position among these keys of the
+    key that the previous length's key i reaches by that step. Length 0
+    has no previous length, so its id lists are empty. Each key is
+    extended once, only one length's keys are held, and the ids are the
+    ints of the walk's index, so a consumer that keeps every length's id
+    lists, or gathers ids per path from them, makes no int per path.
+    """
+    keys, down, level, up = [((1,), 0, 0)], [], [], []
+    for _ in range(L):
+        yield keys, down, level, up
+        index: dict = {}
+        down, level, up = (
+            [index.setdefault(_extend(key, step), len(index)) for key in keys]
+            for step in (-1, 0, 1)
+        )
+        keys = list(index)
+        del index
+    yield keys, down, level, up
+
+
+def _key_integers(keys, p: ModelParams) -> tuple[list[int], int]:
+    """Weights of the keys as integers over their least common
+    denominator, which is returned with them."""
+    weights = list(_key_weights(keys, p))
+    den = lcm(*(d for _, d in weights))
+    return [n * (den // d) for n, d in weights], den
+
+
 def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
     """Normalization: the sum of Q over all 4**L pairs, summed by key.
 
     A path with H level steps stands for 2**H pairs, so a key's
-    multiplicity, grown one step at a time, is the sum of 2**H over the
-    paths that reach it.
+    multiplicity, carried forward one length at a time, is the sum of
+    2**H over the paths that reach it.
     """
     admit("paths", L, max_L)
-    mult = {((1,), 0, 0): 1}
-    for _ in range(L):
-        grown: dict = {}
-        for key, m in mult.items():
-            for step, factor in ((-1, 1), (0, 2), (1, 1)):
-                child = _extend(key, step)
-                grown[child] = grown.get(child, 0) + factor * m
-        mult = grown
+    mult = [1]
+    for keys, down, level, up in _key_levels(L):
+        if down:
+            grown = [0] * len(keys)
+            for m, d, h, u in zip(mult, down, level, up):
+                grown[d] += m
+                grown[h] += 2 * m
+                grown[u] += m
+            mult = grown
+    del down, level, up  # 4.5 MiB at L = 14, held while the weighing peaks
     # summed per denominator: few are distinct, and no list of 3**L-ish
     # integers over a common one is held
     by_den: dict[int, int] = {}
-    for m, (num, den) in zip(mult.values(), _key_weights(mult, p)):
+    for m, (num, den) in zip(mult, _key_weights(keys, p)):
         by_den[den] = by_den.get(den, 0) + m * num
     return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
 

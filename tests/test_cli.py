@@ -489,21 +489,21 @@ def test_closed_output_pipe_exits_quietly():
     assert err == b""
 
 
-def test_verify_builds_each_path_table_once(monkeypatch, capsys):
-    from asep2l import ensemble, recursions
+def test_verify_walks_the_keys_once(monkeypatch, capsys):
+    from asep2l import ensemble, recursions, weights
 
     sizes = []
-    real = ensemble._path_weights
+    real = weights._key_levels
 
-    def counted(L, p):
+    def counted(L):
         sizes.append(L)
-        return real(L, p)
+        return real(L)
 
-    monkeypatch.setattr(ensemble, "_path_weights", counted)
-    monkeypatch.setattr(recursions, "_path_weights", counted)
+    for module in (weights, ensemble, recursions):
+        monkeypatch.setattr(module, "_key_levels", counted)
     assert main(["verify", "--L", "4", *P_ARGS]) == 0
-    # the boundary checks at L = 4 read size 5
-    assert sorted(sizes) == list(range(6))
+    # one walk, to the size 5 that the boundary checks at L = 4 read
+    assert sizes == [5]
 
 
 class TestAdmission:

@@ -1,9 +1,12 @@
 """Tests for the two-layer ensemble, marginals, and comparison measure."""
 
+import sys
+import tracemalloc
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from test_acceptance import AB_GRID, Q_GRID
 
 from asep2l.errors import (
     EnumerationCapExceeded,
@@ -12,6 +15,9 @@ from asep2l.errors import (
 )
 from asep2l.ensemble import (
     Distribution,
+    _fold_masses,
+    _path_weights,
+    _walk,
     duchi_distribution,
     duchi_weight,
     path_law,
@@ -31,7 +37,7 @@ from asep2l.lattice import (
     path_of,
 )
 from asep2l.oracle import build_generator, rates_from_params, stationary_exact
-from asep2l.weights import ModelParams, path_weight, q_weight
+from asep2l.weights import ModelParams, partition_Z, path_weight, q_weight
 
 GRID = [
     ModelParams(F(0), F(1), F(2)),
@@ -153,6 +159,18 @@ class TestStationaryMu:
     def test_equals_path_pushforward(self, p):
         for L in range(8):
             assert path_law_top_marginal(path_law(L, p)) == stationary_mu(L, p)
+
+    def test_holds_less_than_a_table_of_its_paths(self):
+        p = ModelParams(F(1, 2), F(1), F(2))
+        stationary_mu(12, p)  # memoizes the composition polynomials
+        tracemalloc.start()
+        try:
+            stationary_mu(12, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a list of 3**12 one-digit ints: a pointer and an int per entry
+        assert peak < 3 ** 12 * (8 + sys.getsizeof(1 << 29))
 
     def test_strictly_positive(self):
         # strict positivity is promised for A, B > 0 and holds at the edges
@@ -301,3 +319,27 @@ class TestComparisonMeasure:
         for L in range(1, 5):
             mu = stationary_mu(L, ModelParams(F(0), A, B))
             assert top_marginal(duchi_distribution(L, A, B)) == mu
+
+
+FOLD_POINTS = [
+    *(ModelParams(q, A, B) for q in Q_GRID for A, B in AB_GRID),
+    ModelParams(F(1, 2), F(4), F(1)),  # A B q**2 = 1, a pole of the rescaling
+]
+
+
+@pytest.mark.parametrize("p", FOLD_POINTS)
+def test_folds_of_the_key_walk_agree(p):
+    # the top masses, the path table and partition_Z are three folds of
+    # one walk; the masses must also be the Fraction pushforward's, which
+    # is checked up to L = 8 (at L = 9 it alone takes 0.6 s a point)
+    for L in range(10):
+        links, key_weights, den = _walk(L, p)
+        masses = _fold_masses(links, key_weights)
+        table, table_den = _path_weights(L, p)
+        assert table_den == den
+        levels = [g.horizontal for g in enumerate_paths(L)]
+        assert sum(masses) == sum(w << h for w, h in zip(table, levels))
+        assert sum(masses) == partition_Z(L, p) * den
+        if L <= 8:
+            law = path_law_top_marginal(path_law(L, p))
+            assert law.masses == tuple(masses)

@@ -148,6 +148,13 @@ class TestEnumeration:
         assert paths == sorted(paths, key=LatticePath.steps)
         assert len(set(paths)) == len(paths)
 
+    def test_paths_equal_their_checked_construction(self):
+        # the enumerator carries each path's statistics instead of
+        # running the constructor's checks and counts
+        for L in range(9):
+            for g in enumerate_paths(L):
+                assert g == LatticePath(g.values)
+
     @pytest.mark.parametrize("L", range(11))
     def test_occupations_are_in_site_order(self, L):
         # site 1 varies slowest, as in product over the sites

@@ -304,10 +304,10 @@ class TestBoundaryIdentities:
 
     @pytest.mark.parametrize("L1, L2", [(-1, 2), (-3, 1), (2, -1)])
     def test_bulk_refuses_a_negative_part(self, L1, L2, monkeypatch):
-        def refuse(L, p):
-            raise AssertionError("table built for a negative part")
+        def refuse(L):
+            raise AssertionError("keys walked for a negative part")
 
-        monkeypatch.setattr(recursions, "_path_weights", refuse)
+        monkeypatch.setattr(recursions, "_key_levels", refuse)
         with pytest.raises(ValueError, match="nonnegative"):
             check_bulk(L1, L2, GRID[1])
 
