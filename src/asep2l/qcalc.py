@@ -209,11 +209,11 @@ def geometric_unit() -> BasisElement:
 
 
 @lru_cache(maxsize=None)
-def _action_tables(q: Fraction, n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer factors of the actions at depth n, for q = a/b: the scaled
-    q-numbers b**(k-1) [k]_q, the powers a**k and the powers b**k, for
-    k = 0..n."""
-    a, b = q.numerator, q.denominator
+def _action_tables(a: int, b: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Integer factors of the actions at depth n, for q = a/b in lowest
+    terms: the scaled q-numbers b**(k-1) [k]_q, the powers a**k and the
+    powers b**k, for k = 0..n. Keyed by integers, so no Fraction is
+    hashed."""
     numbers, a_powers, b_powers = [0], [1], [1]
     for _ in range(n):
         numbers.append(numbers[-1] * b + a_powers[-1])
@@ -235,7 +235,7 @@ def dq_scaled(nums: Sequence[int], n: int, q: Fraction) -> list[int]:
     is scaled at n = 0, where the action is zero), so no division occurs.
     D_q . z on the same numerators is dq_scaled([0, *nums], n, q).
     """
-    numbers, a_powers, b_powers = _action_tables(q, n)
+    numbers, a_powers, b_powers = _action_tables(q.numerator, q.denominator, n)
     out = [0] * (len(nums) + 1)
     for j, c in enumerate(nums):
         if c == 0:

@@ -26,9 +26,11 @@ factors (1 - AB)(1 - ABq) cancel out of; it is only defined away from the
 poles A*B*q**k = 1 for k = 2..L+1.
 
 The weight depends on the path only through its key (composition, start
-height, end height), and _key_weights weighs keys on integers: with
-A = a/a', B = b/b' and w(AB) = W/D in lowest terms, a key weighs
-b**end a**start W over b'**end a'**start D, reduced by one gcd.
+height, end height), and _weigh_keys weighs the keys of one length on
+integers over one denominator known before the first key is weighed:
+every composition of L+1 has its w over the same power of den(q), and
+the powers of A, B and the denominator of AB are bounded by the largest
+height and the longest numerator list.
 
 Every sum over paths is a fold over one walk of those keys, _key_levels,
 which grows the distinct keys one length at a time (about 7 * 2**L of
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .errors import SingularParameter
 from .lattice import (
@@ -74,8 +76,9 @@ def _validate_composition(sigma) -> tuple[int, ...]:
 
 # Integer numerators and the power of den(q) under them, of the element
 # reached from 1/(1-z) by applying a suffix of the parts: one dict per q,
-# keyed by suffix; every shorter suffix of a key is a key too
-_suffix_elements: dict[Fraction, dict[tuple[int, ...], tuple[list[int], int]]] = {}
+# keyed by q's numerator and denominator (no Fraction is hashed) and then
+# by suffix; every shorter suffix of a key is a key too
+_suffix_elements: dict[tuple[int, int], dict[tuple[int, ...], tuple[list[int], int]]] = {}
 
 
 def _w_scaled(parts: tuple[int, ...], q: Fraction) -> tuple[list[int], int]:
@@ -87,9 +90,10 @@ def _w_scaled(parts: tuple[int, ...], q: Fraction) -> tuple[list[int], int]:
     chain to the first element already known, then back up one step per
     element, and memoizes the suffixes of parts it passes. Compositions
     taken in sorted order find each (h - 1, *rest) memoized as a suffix of
-    (1, h - 1, *rest), so each costs one step.
+    (1, h - 1, *rest), so each costs one step. Each step at depth k adds
+    k - 1 to the shift, so every composition of L+1 has shift L(L+1)/2.
     """
-    memo = _suffix_elements.setdefault(q, {})
+    memo = _suffix_elements.setdefault((q.numerator, q.denominator), {})
     chain = []
     key = parts
     while key and key not in memo:
@@ -146,19 +150,6 @@ def w_sigma_series(sigma, q: Rational) -> QPolynomial:
     return QPolynomial(coeffs[: L - r + 1])
 
 
-@lru_cache(maxsize=None)
-def _w_value(sigma: tuple[int, ...], q: Fraction, z: Fraction) -> Fraction:
-    """w_sigma(z) by Horner's rule on the integer numerators."""
-    nums, shift = _w_scaled(sigma, q)
-    u, v = z.numerator, z.denominator
-    acc, v_power = 0, 1
-    for c in reversed(nums):
-        acc = acc * u + c * v_power
-        v_power *= v
-    # acc is v**degree * den(q)**shift * w_sigma(z)
-    return Fraction(acc, q.denominator ** shift * v ** (len(nums) - 1))
-
-
 class ModelParams(Record, frozen=True):
     """Exact model parameters: 0 <= q < 1 and boundary strengths A, B >= 0."""
 
@@ -198,30 +189,44 @@ def _tilde_scale(q: Fraction, ab: Fraction, L: int) -> Fraction:
     return 1 / denom
 
 
-def _key_weights(keys, p: ModelParams):
-    """Weights B**end A**start w_sigma(AB) of the keys (sigma, start, end),
-    yielded as (numerator, denominator) pairs of integers in lowest terms.
+def _weigh_keys(keys, p: ModelParams):
+    """Weights B**end A**start w_sigma(AB) of the keys (sigma, start, end)
+    of one length, as a stream of integers over one denominator, which is
+    returned with it and is known before the first key is weighed.
 
-    With A = a/a', B = b/b' and w_sigma(AB) = W/D in lowest terms, a key
-    weighs b**end a**start W / (b'**end a'**start D). w_sigma(AB) is read
-    once per distinct sigma, in sorted order (see _w_scaled); keys is
-    iterated twice.
+    With d = den(q), w_sigma(z) = sum c_k z**k / d**s, s the same for
+    every composition of one length (see _w_scaled). With AB = u/v,
+    A = a/a' and B = b/b' in lowest terms, n the longest numerator list
+    and h the largest height, a key weighs
+    W_sigma a**start a'**(h - start) b**end b'**(h - end), where
+    W_sigma = sum c_k u**k v**(n - 1 - k), over d**s v**(n - 1) (a'b')**h.
+    The compositions are read once each, in sorted order; keys is
+    iterated three times.
     """
+    u, v = p.ab.numerator, p.ab.denominator
     a, a_den = p.A.numerator, p.A.denominator
     b, b_den = p.B.numerator, p.B.denominator
-    values = {sigma: _w_value(sigma, p.q, p.ab) for sigma in sorted({key[0] for key in keys})}
-    for sigma, start, end in keys:
-        w = values[sigma]
-        num = b ** end * a ** start * w.numerator
-        den = b_den ** end * a_den ** start * w.denominator
-        g = gcd(num, den)
-        yield num // g, den // g
+    scaled = {sigma: _w_scaled(sigma, p.q) for sigma in sorted({key[0] for key in keys})}
+    n = max(len(nums) for nums, _ in scaled.values())
+    h = max(max(start, end) for _, start, end in keys)
+    values = {}
+    for sigma, (nums, shift) in scaled.items():  # one shift for the length
+        acc, v_power = 0, v ** (n - len(nums))  # Horner's rule
+        for c in reversed(nums):
+            acc = acc * u + c * v_power
+            v_power *= v
+        values[sigma] = acc
+    a_powers = [a ** i * a_den ** (h - i) for i in range(h + 1)]
+    b_powers = [b ** j * b_den ** (h - j) for j in range(h + 1)]
+    weights = (values[sigma] * (a_powers[start] * b_powers[end]) for sigma, start, end in keys)
+    return weights, p.q.denominator ** shift * v ** (n - 1) * (a_den * b_den) ** h
 
 
 def path_weight(gamma: LatticePath, p: ModelParams) -> Fraction:
     """Two-layer weight read off a path: B**(end-min) A**(-min) w(AB)."""
     key = (composition_of(gamma), -gamma.minimum, gamma.end - gamma.minimum)
-    return Fraction(*next(_key_weights([key], p)))
+    weights, den = _weigh_keys([key], p)
+    return Fraction(next(weights), den)
 
 
 def q_weight(tau: Occupation, xi: Occupation, p: ModelParams) -> Fraction:
@@ -276,11 +281,13 @@ def _key_levels(L: int):
 
 
 def _key_integers(keys, p: ModelParams) -> tuple[list[int], int]:
-    """Weights of the keys as integers over their least common
-    denominator, which is returned with them."""
-    weights = list(_key_weights(keys, p))
-    den = lcm(*(d for _, d in weights))
-    return [n * (den // d) for n, d in weights], den
+    """Weights of the keys of one length as integers over their least
+    common denominator, which is returned with them: the one denominator
+    of _weigh_keys divided by its gcd with every weight."""
+    weights, den = _weigh_keys(keys, p)
+    weights = list(weights)
+    g = gcd(den, *weights)
+    return [w // g for w in weights], den // g
 
 
 def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
@@ -301,18 +308,13 @@ def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
                 grown[u] += m
             mult = grown
     del down, level, up  # 4.5 MiB at L = 14, held while the weighing peaks
-    # summed per denominator: few are distinct, and no list of 3**L-ish
-    # integers over a common one is held
-    by_den: dict[int, int] = {}
-    for m, (num, den) in zip(mult, _key_weights(keys, p)):
-        by_den[den] = by_den.get(den, 0) + m * num
-    return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+    weights, den = _weigh_keys(keys, p)  # a stream: no list of them is held
+    return Fraction(sum(m * w for m, w in zip(mult, weights)), den)
 
 
 def clear_weight_caches() -> None:
-    """Drop memoized composition polynomials, values, rescaling factors and
-    the q-difference tables under them (mainly for tests)."""
+    """Drop memoized composition polynomials, rescaling factors and the
+    q-difference tables under them (mainly for tests)."""
     _action_tables.cache_clear()
     _suffix_elements.clear()
-    _w_value.cache_clear()
     _tilde_scale.cache_clear()

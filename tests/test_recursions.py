@@ -163,6 +163,20 @@ def both_routes(p, max_L=5, max_bulk=4):
     ]
 
 
+def perturb_weight(monkeypatch, sigma):
+    """Add 1 to w_sigma(z) for the chosen sigma only: its constant
+    numerator gains den(q)**shift, the power of den(q) under it."""
+    real = weights._w_scaled
+
+    def perturbed(parts, q):
+        nums, shift = real(parts, q)
+        if parts == sigma:
+            nums = [nums[0] + q.denominator ** shift, *nums[1:]]
+        return nums, shift
+
+    monkeypatch.setattr(weights, "_w_scaled", perturbed)
+
+
 class TestPathTableRoute:
     @pytest.mark.parametrize("p", GRID + ACCEPTANCE_GRID + [SHOCK])
     def test_reports_equal_the_fraction_reference(self, p):
@@ -170,12 +184,7 @@ class TestPathTableRoute:
             assert fast == slow
 
     def test_perturbed_weight_fails_both_routes_alike(self, monkeypatch):
-        real = weights._w_value
-
-        def perturbed(sigma, q, z):
-            return real(sigma, q, z) + (sigma == (2, 1))
-
-        monkeypatch.setattr(weights, "_w_value", perturbed)
+        perturb_weight(monkeypatch, (2, 1))
         failing = capped = 0
         for p in (GRID[1], GRID[2], GRID[3], GRID[4], SHOCK):
             for fast, slow in both_routes(p, max_L=4, max_bulk=3):
@@ -187,12 +196,7 @@ class TestPathTableRoute:
         assert failing > 0 and capped > 0
 
     def test_every_failure_is_found_in_pair_order(self, monkeypatch):
-        real = weights._w_value
-
-        def perturbed(sigma, q, z):
-            return real(sigma, q, z) + (sigma == (2, 2))
-
-        monkeypatch.setattr(weights, "_w_value", perturbed)
+        perturb_weight(monkeypatch, (2, 2))
         for fast, slow in both_routes(GRID[1], max_L=3, max_bulk=2):
             assert fast == slow
         # with no cap, the path route must name every failing pair, in order
@@ -242,12 +246,7 @@ class TestBasicRoute:
     @pytest.mark.parametrize("kept", [FAILURES_KEPT, 10 ** 6])
     @pytest.mark.parametrize("sigma", [(2, 1), (1,)])
     def test_perturbed_weight_fails_both_routes_alike(self, monkeypatch, sigma, kept):
-        real = weights._w_value
-
-        def perturbed(s, q, z):
-            return real(s, q, z) + (s == sigma)
-
-        monkeypatch.setattr(weights, "_w_value", perturbed)
+        perturb_weight(monkeypatch, sigma)
         monkeypatch.setattr(recursions, "FAILURES_KEPT", kept)
         failures = []
         for p in (GRID[1], GRID[2], GRID[3], GRID[4], SHOCK):

@@ -20,6 +20,9 @@ from asep2l.lattice import (
 from asep2l.qcalc import QPolynomial, _action_tables, poly_eval, q_factorial, q_number
 from asep2l.weights import (
     ModelParams,
+    _key_integers,
+    _key_levels,
+    _w_scaled,
     clear_weight_caches,
     partition_Z,
     q_weight,
@@ -104,6 +107,13 @@ class TestCompositionPolynomial:
                 target = q_factorial(L + 1, q)
                 for sigma in compositions_of(L + 1):
                     assert poly_eval(w_sigma_operator(sigma, q), F(1)) == target
+
+    def test_shift_is_fixed_by_the_length(self):
+        # each of the L + 1 D_q steps, at depths 1..L + 1, adds depth - 1
+        for q in (F(0), F(1, 3), F(9, 10)):
+            for L in range(9):
+                for sigma in compositions_of(L + 1):
+                    assert _w_scaled(sigma, q)[1] == L * (L + 1) // 2
 
     def test_single_part_has_degree_L(self):
         for L in range(6):
@@ -285,6 +295,11 @@ class TestPartitionFunction:
 
 
 ACCEPTANCE_GRID = [ModelParams(q, A, B) for q in Q_GRID for A, B in AB_GRID]
+# A or B with numerator and denominator both above 1, which no grid point has
+SHARED_DENOMINATORS = [
+    ModelParams(F(123456789, 987654321), F(1000000007, 3), F(5, 999999937)),
+    ModelParams(F(9, 10), F(1, 7), F(5, 3)),
+]
 
 
 @cache
@@ -300,7 +315,7 @@ def fraction_weight(gamma, p):
 
 
 class TestIntegerKeyWeights:
-    @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
+    @pytest.mark.parametrize("p", ACCEPTANCE_GRID + SHARED_DENOMINATORS)
     def test_path_table_equals_fraction_products(self, p):
         for L in range(8):
             weights, den = _path_weights(L, p)
@@ -308,7 +323,7 @@ class TestIntegerKeyWeights:
             assert [F(w, den) for w in weights] == slow
             assert den == lcm(*(w.denominator for w in slow))
 
-    @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
+    @pytest.mark.parametrize("p", ACCEPTANCE_GRID + SHARED_DENOMINATORS)
     def test_partition_equals_fraction_sum(self, p):
         for L in range(7):
             slow = sum(
@@ -316,3 +331,19 @@ class TestIntegerKeyWeights:
                 F(0),
             )
             assert partition_Z(L, p) == slow
+
+    def test_weighing_hashes_no_fraction(self, monkeypatch):
+        for keys, *_ in _key_levels(8):
+            pass
+        p = ModelParams(F(1, 2), F(1), F(2))
+        real = F.__hash__
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        clear_weight_caches()
+        monkeypatch.setattr(F, "__hash__", counted)
+        _key_integers(keys, p)
+        assert calls == []
