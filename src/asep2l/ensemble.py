@@ -11,8 +11,10 @@ the walk of keys (weights._key_levels), one site at a time, into the
 to 0, and a level step adds to both. Each length holds about 7 * 2**L
 masses, so the 3**L paths are never tabulated. The path law and the
 sampler gather the same key weights forward, along the same links, into
-the table of the 3**L path weights in step-lexicographic order. The law
-keeps its masses over their total: it divides only when read.
+the table of the 3**L path weights in step-lexicographic order. The key
+weights keep the closed-form denominator they are weighed over, and the
+law keeps its masses over their total: it divides only when read. The
+basic weights Phi are that law times one factor, tilde_scale(L) * Z_L.
 _path_mass_into, which spreads one path over its 2**H top layers with
 Fractions, is kept as the slow reference for the path law's pushforward.
 
@@ -37,7 +39,7 @@ from .lattice import (
     path_of,
 )
 from .record import Record
-from .weights import ModelParams, _key_integers, _key_levels, q_weight
+from .weights import ModelParams, _key_levels, _weigh_keys, q_weight
 
 
 class Distribution(Record, frozen=True):
@@ -132,12 +134,14 @@ def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None
 
 def _walk(L: int, p: ModelParams) -> tuple[list, list[int], int]:
     """The id lists (down, level, up) of lengths 1..L of the key walk, in
-    order, and the weights of the keys of length L as integers over one
-    common denominator, which is returned with them."""
+    order, and the weights of the keys of length L as integers over the
+    closed-form denominator of weights._weigh_keys, which is returned with
+    them; it need not be the least one."""
     links = []
     for keys, *link in _key_levels(L):
         links.append(link)
-    return links[1:], *_key_integers(keys, p)
+    weights, den = _weigh_keys(keys, p)
+    return links[1:], list(weights), den
 
 
 def _fold_masses(links: list, weights: list[int]) -> list[int]:
@@ -184,30 +188,37 @@ def stationary_mu(L: int, p: ModelParams, max_L: int | None = None) -> Distribut
 
 
 class PhiTable(Record, frozen=True):
-    """Basic weights: bottom-layer sums of the rescaled two-layer weight."""
+    """Basic weights: bottom-layer sums of the rescaled two-layer weight.
 
-    __slots__ = ("L", "params", "values")
+    Phi_L(tau) = tilde_scale(L) * Z_L * mu_L(tau), so the table holds the
+    top-layer marginal mu_L and the one factor tilde_scale(L) * Z_L, which
+    is negative when AB q**2 > 1; a value is formed when it is read.
+    """
 
-    def __init__(self, L: int, params: ModelParams, values: dict):
-        self._init(L, params, values)
+    __slots__ = ("L", "params", "law", "factor")
+
+    def __init__(self, L: int, params: ModelParams, law: Distribution, factor: Fraction):
+        self._init(L, params, law, factor)
 
     def value(self, tau: Occupation) -> Fraction:
-        return self.values[tau]
+        return self.factor * self.law.prob(tau)
+
+    @property
+    def values(self) -> dict:
+        return {tau: self.factor * pr for tau, pr in self.law.items()}
 
     def normalized(self) -> Distribution:
-        scale = self.params.tilde_scale(self.L)  # negative when AB q**2 > 1
-        return occupation_law(self.L, {s.word: v / scale for s, v in self.values.items()})
+        return self.law
 
 
 def phi_table(L: int, p: ModelParams, max_L: int | None = None) -> PhiTable:
-    """Exact basic-weight table; raises SingularParameter at poles."""
+    """Exact basic-weight table; raises SingularParameter at poles, before
+    any path is weighed."""
     admit("marginal", L, max_L)
     scale = p.tilde_scale(L)
     links, weights, den = _walk(L, p)
-    unit = scale / den
-    masses = _fold_masses(links, weights)
-    values = {occ: unit * m for occ, m in zip(enumerate_occupations(L), masses)}
-    return PhiTable(L, p, values)
+    law = Distribution(list(enumerate_occupations(L)), _fold_masses(links, weights))
+    return PhiTable(L, p, law, scale * Fraction(law.total, den))
 
 
 def path_law(L: int, p: ModelParams, max_L: int | None = None) -> Distribution:

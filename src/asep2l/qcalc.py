@@ -163,6 +163,9 @@ class BasisElement(Record, frozen=True):
     Trailing zero coefficients are trimmed so equal values compare equal
     structurally. The difference-operator actions keep numerator degree
     strictly below the depth, so iterated applications stay in the family.
+    The weights step with dq_scaled on integer numerators; this class,
+    geometric_unit, jackson_dq and jackson_dq_z carry the D_q chain that
+    bench/probe.py times.
     """
 
     __slots__ = ("depth", "coeffs")
@@ -172,32 +175,9 @@ class BasisElement(Record, frozen=True):
             raise ValueError(f"depth must be nonnegative, got {depth}")
         self._init(depth, tuple(_trimmed([Fraction(c) for c in coeffs])))
 
-    def numerator(self) -> QPolynomial:
-        return QPolynomial(self.coeffs)
-
     def shift(self) -> "BasisElement":
         """Multiply by z at fixed depth."""
         return BasisElement(self.depth, (Fraction(0),) + self.coeffs)
-
-    def raise_depth(self, q: Rational, target: int) -> "BasisElement":
-        """Rewrite at a larger depth by multiplying numerator and
-        denominator with the missing (1 - q**k z) factors."""
-        if target < self.depth:
-            raise ValueError("cannot lower depth")
-        q = Fraction(q)
-        num = self.numerator()
-        power = q ** self.depth
-        for _ in range(target - self.depth):
-            num = num * QPolynomial([1, -power])
-            power *= q
-        return BasisElement(target, num.coeffs)
-
-    def evaluate(self, q: Rational, z: Rational) -> Fraction:
-        """Value at a rational point z (z must avoid the poles q**-k)."""
-        denom = q_pochhammer(z, q, self.depth)
-        if denom == 0:
-            raise ZeroDivisionError(f"evaluation at pole z={z}")
-        return poly_eval(self.numerator(), z) / denom
 
     def __repr__(self) -> str:
         return f"BasisElement(depth={self.depth}, coeffs={list(self.coeffs)!r})"

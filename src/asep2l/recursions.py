@@ -50,7 +50,7 @@ from operator import add
 from .ensemble import _fold_masses, _next_ids
 from .lattice import Occupation, admit, enumerate_occupations, enumerate_pairs
 from .record import Record
-from .weights import ModelParams, _key_integers, _key_levels
+from .weights import ModelParams, _key_levels, _weigh_keys
 
 FAILURES_KEPT = 10
 
@@ -118,7 +118,8 @@ def _tables(top: int, p: ModelParams, masses_to: int) -> list:
         if tables:
             links.append(link)
             ids = _next_ids(ids, *link)
-        weights, den = _key_integers(keys, p)
+        weights, den = _weigh_keys(keys, p)
+        weights = list(weights)
         masses = _fold_masses(links, weights) if len(tables) <= masses_to else None
         tables.append(([weights[i] for i in ids], masses, den))
     return tables

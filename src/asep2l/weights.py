@@ -23,14 +23,17 @@ a polynomial in A and B with nonnegative coefficients, well defined at
 A = 0 or B = 0. The rescaled weight multiplies Q by
 (AB;q)_2 / (AB;q)_(L+2) = 1 / prod_(k=2..L+1) (1 - A*B*q**k), which the
 factors (1 - AB)(1 - ABq) cancel out of; it is only defined away from the
-poles A*B*q**k = 1 for k = 2..L+1.
+poles A*B*q**k = 1 for k = 2..L+1. ModelParams.tilde_scale forms that
+factor as one quotient of two integer products, each pole a zero factor.
 
 The weight depends on the path only through its key (composition, start
 height, end height), and _weigh_keys weighs the keys of one length on
 integers over one denominator known before the first key is weighed:
 every composition of L+1 has its w over the same power of den(q), and
 the powers of A, B and the denominator of AB are bounded by the largest
-height and the longest numerator list.
+height and the longest numerator list. That denominator is not the least
+one, and nothing reduces it: every Fraction read from the weights, and
+every law over them, reduces or cross-multiplies when it is read.
 
 Every sum over paths is a fold over one walk of those keys, _key_levels,
 which grows the distinct keys one length at a time (about 7 * 2**L of
@@ -45,8 +48,6 @@ size, from one walk.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
 
 from .errors import SingularParameter
 from .lattice import (
@@ -169,24 +170,26 @@ class ModelParams(Record, frozen=True):
     def tilde_scale(self, L: int) -> Fraction:
         """(AB;q)_2 / (AB;q)_(L+2) in its cancelled form
         1 / prod_(k=2..L+1) (1 - AB q**k), refusing the poles
-        AB q**k = 1 with SingularParameter."""
-        return _tilde_scale(self.q, self.ab, L)
+        AB q**k = 1 with SingularParameter.
 
-
-@lru_cache(maxsize=None)
-def _tilde_scale(q: Fraction, ab: Fraction, L: int) -> Fraction:
-    # lru_cache keeps no exception, so a pole raises on every call
-    denom = Fraction(1)
-    power = q * q
-    for k in range(2, L + 2):
-        factor = 1 - ab * power
-        if factor == 0:
-            raise SingularParameter(
-                f"A*B*q**{k} == 1 makes the rescaled weight singular at L={L}"
-            )
-        denom *= factor
-        power *= q
-    return 1 / denom
+        With q = c/d and AB = u/v, 1 - AB q**k = (v d**k - u c**k) / (v d**k),
+        so the factor is one quotient of two integer products, reduced once.
+        """
+        c, d = self.q.numerator, self.q.denominator
+        u, v = self.ab.numerator, self.ab.denominator
+        num = den = 1
+        c_power, d_power = c * c, d * d
+        for k in range(2, L + 2):
+            factor = v * d_power - u * c_power
+            if factor == 0:
+                raise SingularParameter(
+                    f"A*B*q**{k} == 1 makes the rescaled weight singular at L={L}"
+                )
+            num *= v * d_power
+            den *= factor
+            c_power *= c
+            d_power *= d
+        return Fraction(num, den)
 
 
 def _weigh_keys(keys, p: ModelParams):
@@ -280,16 +283,6 @@ def _key_levels(L: int):
     yield keys, down, level, up
 
 
-def _key_integers(keys, p: ModelParams) -> tuple[list[int], int]:
-    """Weights of the keys of one length as integers over their least
-    common denominator, which is returned with them: the one denominator
-    of _weigh_keys divided by its gcd with every weight."""
-    weights, den = _weigh_keys(keys, p)
-    weights = list(weights)
-    g = gcd(den, *weights)
-    return [w // g for w in weights], den // g
-
-
 def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
     """Normalization: the sum of Q over all 4**L pairs, summed by key.
 
@@ -313,8 +306,7 @@ def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
 
 
 def clear_weight_caches() -> None:
-    """Drop memoized composition polynomials, rescaling factors and the
-    q-difference tables under them (mainly for tests)."""
+    """Drop memoized composition polynomials and the q-difference tables
+    under them (mainly for tests)."""
     _action_tables.cache_clear()
     _suffix_elements.clear()
-    _tilde_scale.cache_clear()

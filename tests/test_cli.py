@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -351,6 +352,27 @@ OPERATIONS = {
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """The `asep2l ...` lines of the sh block under the README's "Command line"."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("asep2l ")]
+
+
+def test_readme_commands_exit_zero():
+    commands = readme_commands()
+    assert commands
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        done = subprocess.run(
+            [sys.executable, "-m", "asep2l.cli", *argv], env=SRC_ENV, capture_output=True, text=True
+        )
+        assert done.returncode == 0, (line, done.stderr)
 
 
 def test_numpy_is_not_imported_by_the_cli():

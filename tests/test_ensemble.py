@@ -37,7 +37,7 @@ from asep2l.lattice import (
     path_of,
 )
 from asep2l.oracle import build_generator, rates_from_params, stationary_exact
-from asep2l.weights import ModelParams, partition_Z, path_weight, q_weight
+from asep2l.weights import ModelParams, partition_Z, path_weight, q_weight, tilde_q_weight
 
 GRID = [
     ModelParams(F(0), F(1), F(2)),
@@ -209,6 +209,34 @@ class TestPhiTable:
                 except SingularParameter:
                     continue
                 assert t.normalized() == stationary_mu(L, p)
+
+    @pytest.mark.parametrize(
+        "p", [ModelParams(q, A, B) for q in Q_GRID for A, B in AB_GRID]
+    )
+    def test_normalized_is_the_marginal_itself(self, p):
+        # the law of the same folded masses, not one rebuilt by a division
+        for L in range(9):
+            try:
+                law = phi_table(L, p).normalized()
+            except SingularParameter:
+                continue
+            mu = stationary_mu(L, p)
+            assert all(type(m) is int for m in law.masses)
+            assert (law.states, law.masses, law.total) == (mu.states, mu.masses, mu.total)
+
+    def test_values_are_the_rescaled_bottom_sums(self):
+        # Phi_L(tau) = sum over xi of tilde_q_weight, sign included at AB q**2 > 1
+        for p in (ModelParams(F(1, 2), F(3), F(2)), ModelParams(F(1, 3), F(1), F(2))):
+            for L in range(4):
+                table = phi_table(L, p)
+                expected = {
+                    tau: sum(
+                        (tilde_q_weight(tau, xi, p) for xi in enumerate_occupations(L)), F(0)
+                    )
+                    for tau in enumerate_occupations(L)
+                }
+                assert table.values == expected
+                assert all(table.value(tau) == v for tau, v in expected.items())
 
     @pytest.mark.parametrize(
         "p",

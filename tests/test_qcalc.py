@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from asep2l.qcalc import (
     BasisElement,
     QPolynomial,
+    dq_scaled,
     geometric_unit,
     jackson_dq,
     jackson_dq_z,
@@ -29,8 +30,20 @@ QS = [F(0), F(1, 3), F(1, 2), F(2, 3)]
 SAMPLE_POINTS = [F(1, 5), F(2, 5), F(3, 5), F(7, 5), F(-1, 3), F(-4, 7), F(9, 11)]
 
 
-def difference_quotient(e: BasisElement, q: F, z: F) -> F:
-    return (e.evaluate(q, z) - e.evaluate(q, q * z)) / ((1 - q) * z)
+def value(depth: int, coeffs, q: F, z: F) -> F:
+    """sum_j c_j z**j / (z;q)_depth at a point z off its poles."""
+    return poly_eval(QPolynomial(coeffs), z) / q_pochhammer(z, q, depth)
+
+
+def difference_quotient(depth: int, coeffs, q: F, z: F) -> F:
+    """(f(z) - f(qz)) / ((1 - q) z) for f = sum_j c_j z**j / (z;q)_depth."""
+    return (value(depth, coeffs, q, z) - value(depth, coeffs, q, q * z)) / ((1 - q) * z)
+
+
+def raised_numerator(e: BasisElement, q: F) -> QPolynomial:
+    """e's numerator at depth e.depth + 1: times the factor (1 - q**depth z)
+    that the larger denominator adds."""
+    return QPolynomial(e.coeffs) * QPolynomial([1, -q ** e.depth])
 
 
 def safe_points(q: F, depth: int):
@@ -133,7 +146,9 @@ class TestJacksonOperators:
             pts = safe_points(q, d.depth)
             assert len(pts) >= 5
             for z in pts:
-                assert d.evaluate(q, z) == difference_quotient(e, q, z)
+                assert value(d.depth, d.coeffs, q, z) == difference_quotient(
+                    e.depth, e.coeffs, q, z
+                )
 
     @pytest.mark.parametrize("q", QS)
     def test_dq_z_matches_difference_quotient(self, q):
@@ -145,7 +160,23 @@ class TestJacksonOperators:
             pts = safe_points(q, d.depth)
             assert len(pts) >= 5
             for z in pts:
-                assert d.evaluate(q, z) == difference_quotient(shifted, q, z)
+                assert value(d.depth, d.coeffs, q, z) == difference_quotient(
+                    shifted.depth, shifted.coeffs, q, z
+                )
+
+    @pytest.mark.parametrize("q", QS)
+    def test_dq_scaled_matches_difference_quotient(self, q):
+        # integer numerators at depth n + 1, times den(q)**(n - 1) for n >= 1
+        for n in range(7):
+            scale = q.denominator ** max(n - 1, 0)
+            for nums in ([1], [(-1) ** i * (i + 2) for i in range(n + 1)]):
+                out = dq_scaled(nums, n, q)
+                pts = safe_points(q, n + 1)
+                assert len(pts) >= 5
+                for z in pts:
+                    assert value(n + 1, out, q, z) / scale == difference_quotient(
+                        n, nums, q, z
+                    )
 
     def test_depth_increases_by_one(self):
         q = F(1, 2)
@@ -176,8 +207,10 @@ class TestJacksonOperators:
     def test_q_commutation(self, q):
         # (D_q . z) e - q * z * (D_q e) = e at a common depth
         for e in random_elements(q):
-            lhs = jackson_dq_z(e, q).numerator() + jackson_dq(e, q).shift().numerator().scale(-q)
-            rhs = e.raise_depth(q, e.depth + 1).numerator()
+            lhs = QPolynomial(jackson_dq_z(e, q).coeffs) + QPolynomial(
+                jackson_dq(e, q).shift().coeffs
+            ).scale(-q)
+            rhs = raised_numerator(e, q)
             assert lhs == rhs
 
     def test_dq_z_identity_at_q_zero(self):
@@ -249,5 +282,7 @@ def test_commutation_property(coeffs, depth_extra, qi):
     q = QS[qi]
     depth = len(coeffs) + depth_extra
     e = BasisElement(depth, coeffs)
-    lhs = jackson_dq_z(e, q).numerator() + jackson_dq(e, q).shift().numerator().scale(-q)
-    assert lhs == e.raise_depth(q, depth + 1).numerator()
+    lhs = QPolynomial(jackson_dq_z(e, q).coeffs) + QPolynomial(
+        jackson_dq(e, q).shift().coeffs
+    ).scale(-q)
+    assert lhs == raised_numerator(e, q)

@@ -20,9 +20,9 @@ from asep2l.lattice import (
 from asep2l.qcalc import QPolynomial, _action_tables, poly_eval, q_factorial, q_number
 from asep2l.weights import (
     ModelParams,
-    _key_integers,
     _key_levels,
     _w_scaled,
+    _weigh_keys,
     clear_weight_caches,
     partition_Z,
     q_weight,
@@ -156,7 +156,7 @@ class TestModelParams:
         p = ModelParams(F(1, 2), F(4), F(1))  # AB = 4 = q**-2
         # (ab;q)_2 / (ab;q)_2 = 1 at L = 0: pole factor k=2 not yet included
         assert p.tilde_scale(0) == 1
-        for _ in range(2):  # the memo keeps no refusal
+        for _ in range(2):  # every call refuses
             with pytest.raises(SingularParameter):
                 p.tilde_scale(1)
         ok = ModelParams(F(1, 2), F(1), F(3))
@@ -302,6 +302,47 @@ SHARED_DENOMINATORS = [
 ]
 
 
+def fraction_tilde_scale(p: ModelParams, L: int) -> F:
+    """The slow reference: 1 / prod_(k=2..L+1) (1 - AB q**k) over Fractions,
+    refusing the first pole k."""
+    denom = F(1)
+    for k in range(2, L + 2):
+        factor = 1 - p.ab * p.q ** k
+        if factor == 0:
+            raise SingularParameter(
+                f"A*B*q**{k} == 1 makes the rescaled weight singular at L={L}"
+            )
+        denom *= factor
+    return 1 / denom
+
+
+class TestTildeScale:
+    @pytest.mark.parametrize("p", ACCEPTANCE_GRID + SHARED_DENOMINATORS)
+    def test_equals_fraction_product(self, p):
+        for L in range(31):
+            try:
+                expected = fraction_tilde_scale(p, L)
+            except SingularParameter as refusal:
+                with pytest.raises(SingularParameter) as raised:
+                    p.tilde_scale(L)
+                assert str(raised.value) == str(refusal)
+            else:
+                assert p.tilde_scale(L) == expected
+
+    @pytest.mark.parametrize(
+        "p, first_pole",
+        [(ModelParams(F(1, 2), F(4), F(1)), 2), (ModelParams(F(1, 3), F(27), F(1)), 3)],
+    )
+    def test_refuses_the_first_pole(self, p, first_pole):
+        assert p.tilde_scale(first_pole - 2) == fraction_tilde_scale(p, first_pole - 2)
+        for L in range(first_pole - 1, first_pole + 4):
+            with pytest.raises(SingularParameter) as raised:
+                p.tilde_scale(L)
+            assert str(raised.value) == (
+                f"A*B*q**{first_pole} == 1 makes the rescaled weight singular at L={L}"
+            )
+
+
 @cache
 def _w_at(sigma, q, z):
     return poly_eval(w_sigma_operator(sigma, q), z)
@@ -321,7 +362,16 @@ class TestIntegerKeyWeights:
             weights, den = _path_weights(L, p)
             slow = [fraction_weight(g, p) for g in enumerate_paths(L)]
             assert [F(w, den) for w in weights] == slow
-            assert den == lcm(*(w.denominator for w in slow))
+            # the closed form d**s v**(n - 1) (a'b')**h of _weigh_keys: the
+            # keys of length L have s = L(L+1)/2 and largest height h = L,
+            # and the flat path's w_(L+1) has degree L, or 0 at q = 0
+            n = L + 1 if p.q else 1
+            d, v = p.q.denominator, p.ab.denominator
+            assert den == d ** (L * (L + 1) // 2) * v ** (n - 1) * (
+                p.A.denominator * p.B.denominator
+            ) ** L
+            # not always the least common denominator, but a multiple of it
+            assert den % lcm(*(w.denominator for w in slow)) == 0
 
     @pytest.mark.parametrize("p", ACCEPTANCE_GRID + SHARED_DENOMINATORS)
     def test_partition_equals_fraction_sum(self, p):
@@ -345,5 +395,5 @@ class TestIntegerKeyWeights:
 
         clear_weight_caches()
         monkeypatch.setattr(F, "__hash__", counted)
-        _key_integers(keys, p)
+        list(_weigh_keys(keys, p)[0])
         assert calls == []
