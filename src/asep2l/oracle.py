@@ -57,16 +57,35 @@ The Gillespie simulator at the bottom is the only code in the package
 whose results are floating point (the kernel's float64 products are
 exact integer arithmetic). It draws from the same moves the generator is
 built from (_moves), with the rates as floats.
+
+numpy is loaded with one OpenBLAS thread. Starting OpenBLAS's pool of
+threads is about half the cost of importing numpy, which every oracle
+request pays, while the kernel's BLAS products, at most ROWS x PANEL by
+PANEL x n, are too small up to the default size limit for a second
+thread to pay for itself. A caller who sets OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS keeps that choice. Otherwise
+OPENBLAS_NUM_THREADS=1 is set for the import alone, and os.environ is
+restored after it, so child processes see the environment unchanged.
+Results do not depend on the count: every product is exact.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isfinite, isqrt, lcm
 
-import numpy as np
+_BLAS_THREADS_CHOSEN = any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if not _BLAS_THREADS_CHOSEN:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if not _BLAS_THREADS_CHOSEN:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import SingularSystem
 from .ensemble import Distribution, occupation_law

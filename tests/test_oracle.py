@@ -1,5 +1,6 @@
 """Tests for the generator, the exact solvers, and the simulator."""
 
+import json
 import os
 import random
 import subprocess
@@ -861,3 +862,78 @@ class TestGillespie:
         r = rates_from_params(POINTS[1])
         with pytest.raises(ValueError, match="burn_in"):
             gillespie_simulate(2, r, horizon=100.0, burn_in=burn_in)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# os.environ before and after the import, and the OS threads the process then has
+IMPORT_PROBE = dedent(
+    """
+    import json, os
+    before = dict(os.environ)
+    import asep2l.oracle
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    print(json.dumps({"before": before, "after": dict(os.environ), "threads": tasks}))
+    """
+)
+
+
+def env_without_blas_threads(**chosen) -> dict:
+    env = {k: v for k, v in SRC_ENV.items() if k not in BLAS_THREAD_VARS}
+    return {**env, **chosen}
+
+
+def blas_is_openblas() -> bool:
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+class TestBlasThreads:
+    """numpy loads with one OpenBLAS thread unless the caller chose a count.
+
+    Each import runs in a fresh interpreter: this one loaded numpy long ago.
+    """
+
+    def import_oracle(self, **chosen) -> dict:
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE],
+            env=env_without_blas_threads(**chosen), capture_output=True, text=True, check=True,
+        )
+        return json.loads(done.stdout)
+
+    def assert_threads(self, seen: dict, expected: int) -> None:
+        if seen["threads"] is None or not blas_is_openblas():
+            pytest.skip("needs /proc and an OpenBLAS build of numpy")
+        assert seen["threads"] == expected
+
+    def test_one_thread_and_environment_restored(self):
+        seen = self.import_oracle()
+        assert seen["after"] == seen["before"]
+        assert not set(BLAS_THREAD_VARS) & set(seen["after"])
+        self.assert_threads(seen, 1)
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_a_callers_count_wins(self, var):
+        seen = self.import_oracle(**{var: "2"})
+        assert seen["after"] == seen["before"]
+        assert seen["after"][var] == "2"
+        # OpenBLAS starts no more threads than the process may run on
+        self.assert_threads(seen, min(2, len(os.sched_getaffinity(0))))
+
+    # oracle --L 10 adds a product with a 252-state block, large enough for
+    # OpenBLAS to run it on both threads; the L = 8 blocks are not
+    @pytest.mark.parametrize("argv", [("oracle", "--L", "8"), ("compare", "--L", "8"),
+                                      ("oracle", "--L", "10")], ids=" ".join)
+    @pytest.mark.parametrize(
+        "point",
+        [("1/2", "1", "2"), ("123456789/987654321", "1000000007/3", "5/999999937")],
+        ids=["simple", "9-digit"],
+    )
+    def test_output_does_not_depend_on_the_thread_count(self, argv, point):
+        q, A, B = point
+        command = [sys.executable, "-m", "asep2l.cli", *argv, "--q", q, "--A", A, "--B", B]
+        outputs = [
+            subprocess.run(command, env=env, capture_output=True, check=True).stdout
+            for env in (env_without_blas_threads(), env_without_blas_threads(OPENBLAS_NUM_THREADS="2"))
+        ]
+        assert outputs[0] == outputs[1]
