@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import NotInConfigurationSpace
 from .lattice import (
@@ -102,7 +102,9 @@ class Distribution(Record, frozen=True):
 
 def occupation_law(L: int, mass: dict[int, Fraction | int]) -> Distribution:
     """Law over all 2**L occupations in enumeration order, proportional to
-    mass[word]; words absent from mass get probability 0."""
+    mass[word]; words absent from mass get probability 0. Only top_marginal
+    and path_law_top_marginal use it: the other laws of the package are
+    built straight in enumeration order."""
     states = list(enumerate_occupations(L))
     return Distribution(states, [mass.get(s.word, 0) for s in states])
 
@@ -132,7 +134,7 @@ def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None
         sub = (sub - 1) & mask
 
 
-def _walk(L: int, p: ModelParams) -> tuple[list, list[int], int]:
+def _walk(L: int, p: ModelParams) -> tuple[list, Iterator[int], int]:
     """The id lists (down, level, up) of lengths 1..L of the key walk, in
     order, and the weights of the keys of length L as integers over the
     closed-form denominator of weights._weigh_keys, which is returned with
@@ -141,10 +143,13 @@ def _walk(L: int, p: ModelParams) -> tuple[list, list[int], int]:
     for keys, *link in _key_levels(L):
         links.append(link)
     weights, den = _weigh_keys(keys, p)
-    return links[1:], list(weights), den
+    # weighed in full before the fold starts, but handed over as an iterator
+    # over the list: once the fold has read it into its first level, the
+    # exhausted iterator drops the list and the weights go with that level
+    return links[1:], iter(list(weights)), den
 
 
-def _fold_masses(links: list, weights: list[int]) -> list[int]:
+def _fold_masses(links: list, weights: Iterable[int]) -> list[int]:
     """Top-layer masses of the paths, in enumerate_occupations order, from
     the weights of the keys at the end of links.
 
@@ -174,6 +179,7 @@ def _path_weights(L: int, p: ModelParams) -> tuple[list[int], int]:
     """Weights of the 3**L paths in step-lexicographic order, as integers
     over one common denominator, which is returned with them."""
     links, weights, den = _walk(L, p)
+    weights = list(weights)
     ids = [0]
     for link in links:
         ids = _next_ids(ids, *link)

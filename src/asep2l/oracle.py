@@ -14,7 +14,7 @@ states ordered by N the transposed generator is block tridiagonal, with
 blocks of size C(L, N). stationary_exact scales the generator to
 integers once, as one set of entry arrays (row, column, value) with the
 diagonal included; the pin x(empty) = 1, which replaces the empty word's
-redundant equation, the block solve and the exact certificate all read
+redundant equation, and the block solve both read
 those arrays. The solver for block-tridiagonal integer systems,
 _solve_blocks, takes the entries of that pinned system; its bands Lo (to
 the previous block), D (to its own) and Up (to the next) are slices of
@@ -47,11 +47,13 @@ int64 whenever the system's entries and right-hand side bound every
 residue below 2**62, and in Python integers otherwise. Reconstruction is
 tried after 1, 2, 4, 8, ... digits, reading the entries in order over one
 running denominator. The solution is kept as integer masses over one
-denominator and certified exactly against every column of the integer
-generator, x @ G = 0, before it is returned; solvability modulo the
-prime certifies that the nullspace is one-dimensional. A single block is
-one dense inverse: that case, solve_dixon, is kept as the small-system
-cross-check.
+denominator, and the solve returns it only once it satisfies the pinned
+system exactly: x @ G = 0 on every column of the integer generator but
+the empty word's, which follows from the others since every row of G
+sums to zero. The masses' signs are the one property left to check, and
+solvability modulo the prime certifies that the nullspace is
+one-dimensional. A single block is one dense inverse: that case,
+solve_dixon, is kept as the small-system cross-check.
 
 The Gillespie simulator at the bottom is the only code in the package
 whose results are floating point (the kernel's float64 products are
@@ -74,7 +76,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, isfinite, isqrt, lcm
 
 _BLAS_THREADS_CHOSEN = any(
@@ -88,7 +90,7 @@ finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import SingularSystem
-from .ensemble import Distribution, occupation_law
+from .ensemble import Distribution
 from .lattice import admit, enumerate_occupations
 from .record import Record
 from .weights import ModelParams
@@ -579,17 +581,6 @@ def solve_dixon(rows: list[dict[int, int]], rhs: list[int]) -> list[Fraction]:
     return [Fraction(v, den) for v in num]
 
 
-def _is_stationary(entries, masses) -> bool:
-    """Exact certificate that masses, indexed by word, are proportional to
-    a stationary law: they are nonnegative, not all zero, and x @ G = 0 on
-    every column of the integer generator, given by its entries (i, j, v)
-    (_integer_generator)."""
-    i, j, v = entries
-    flow = np.zeros(len(masses), dtype=object)
-    np.add.at(flow, j, np.asarray(masses, dtype=object)[i] * v)
-    return min(masses) >= 0 and any(masses) and not flow.any()
-
-
 def stationary_exact(g: GeneratorMatrix) -> Distribution:
     """The unique probability vector annihilated by the generator.
 
@@ -603,7 +594,8 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     solved exactly by _solve_blocks, with one block per particle number, the
     empty word alone in the block N = 0. The solution is kept as integer
     masses over the least common denominator of its entries, which is the
-    empty word's mass.
+    empty word's mass, and the law is read from them in
+    enumerate_occupations order.
 
     The pin is safe for every generator build_generator makes: alpha =
     1/(1+A) > 0 and beta = 1/(1+B) > 0, so the chain is irreducible and
@@ -612,11 +604,18 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     generator whose pinned system is singular raises SingularSystem, and one
     with a move that changes N by more than one, the empty word's moves
     included, raises ValueError. Nonsingularity modulo a prime certifies
-    that the nullspace is one-dimensional, and the masses are certified
-    exactly against every column of the generator, the replaced one included
-    (_is_stationary), before the law is returned.
+    that the nullspace is one-dimensional.
+
+    The solve returns the masses only once they satisfy the pinned system
+    exactly, in integers: the pin, and x @ G = 0 on every column but the
+    empty word's. That column needs no check of its own. Every row of the
+    integer generator sums to zero, its diagonal entry being minus the sum
+    of its moves (_integer_generator), so the columns of x @ G sum to zero
+    and the empty word's is minus the sum of the others. The signs are the
+    one test left: a negative mass raises SingularSystem. The masses are
+    not all zero, since the pin gives the empty word the denominator.
     """
-    i, j, v = entries = _integer_generator(g)
+    i, j, v = _integer_generator(g)
     count = np.array([w.bit_count() for w in range(g.dim)])
     if (abs(count[i] - count[j]) > 1).any():
         raise ValueError("generator is not block tridiagonal in the particle number")
@@ -627,11 +626,11 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     r, c = (np.append(place[a[kept]], 0) for a in (j, i))  # the pin's entry is (0, 0)
     sizes = np.bincount(count).tolist()
     num, den = _solve_blocks(r, c, np.append(v[kept], 1), [1] + [0] * (g.dim - 1), sizes)
-    masses = np.zeros(g.dim, dtype=object)
-    masses[words] = num
-    if not _is_stationary(entries, masses):
+    if min(num) < 0:
         raise SingularSystem("solution is not a stationary law of the generator")
-    return occupation_law(g.L, dict(enumerate(masses.tolist())))
+    states = list(enumerate_occupations(g.L))
+    masses = [num[k] for k in place[[s.word for s in states]].tolist()]
+    return Distribution(states, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -711,25 +710,17 @@ def gillespie_simulate(
 
     while t < t_end:
         options = _moves(w, L, *rates)
-        total = sum(rate for _, rate in options)
+        cum = list(accumulate(rate for _, rate in options))
+        total = cum[-1] if cum else 0.0
         if total == 0.0:
             credit(w, t, t_end)
-            t = t_end
             break
         dt = rng.expovariate(total)
         credit(w, t, t + dt)
         t += dt
         if t >= t_end:
             break
-        pick = rng.random() * total
-        acc = 0.0
-        target = options[-1][0]
-        for nxt, rate in options:
-            acc += rate
-            if pick < acc:
-                target = nxt
-                break
-        w = target
+        w = rng.choices(options, cum_weights=cum)[0][0]
         steps += 1
 
     freq = None

@@ -182,10 +182,19 @@ def _tally(report, instances: int, bad, cases) -> None:
             report.failures.append(Failure(inputs, *sides()))
 
 
-def _boundary(report, L, p, prepend: bool, coef, factors, tables) -> None:
-    """Qt(tau+ | xi') - coef Qt(tau- | xi') = factors[x'] Qt(tau | xi), where
-    a new site is added first (prepend) or last: xi' holds x' there, tau+
-    holds 0 first or 1 last, and tau- the other bit."""
+def _boundary(L: int, p: ModelParams, prepend: bool, tables: list) -> VerificationReport:
+    """The report of one boundary identity, Qt(tau+ | xi') - coef Qt(tau- |
+    xi') = factors[x'] Qt(tau | xi), where xi' holds x' at the new site.
+    The left boundary (prepend) adds the site first, with tau+ holding 0
+    there, coef = qA and factors = (1, A); the right boundary adds it last,
+    with tau+ holding 1 there, coef = qB and factors = (B, 1). In both,
+    tau- holds the other bit."""
+    if prepend:
+        report = VerificationReport("left-boundary", f"L={L}", p)
+        coef, factors = p.q * p.A, (1, p.A)
+    else:
+        report = VerificationReport("right-boundary", f"L={L}", p)
+        coef, factors = p.q * p.B, (p.B, 1)
     hi, unit_hi = _table(L + 1, p, tables)
     lo, unit_lo = _table(L, p, tables)
     # the new site's digit, tau's bit - x' + 1, has the place 3**L or 1
@@ -197,30 +206,19 @@ def _boundary(report, L, p, prepend: bool, coef, factors, tables) -> None:
             (bad.get(_number(tau, xi)), {"tau": tau, "xi": xi, "xi_new": x})
             for tau, xi in enumerate_pairs(L)
         ))
+    return report
 
 
 def check_left_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Prepending a site: Qt(0 tau | x' xi) - qA Qt(1 tau | x' xi) = A**x' Qt(tau | xi)."""
     admit("verify", L)
-    return _left_boundary(L, p, _tables(L + 1, p, -1))
-
-
-def _left_boundary(L: int, p: ModelParams, tables: list) -> VerificationReport:
-    report = VerificationReport("left-boundary", f"L={L}", p)
-    _boundary(report, L, p, True, p.q * p.A, (1, p.A), tables)
-    return report
+    return _boundary(L, p, True, _tables(L + 1, p, -1))
 
 
 def check_right_boundary(L: int, p: ModelParams) -> VerificationReport:
     """Appending a site: Qt(tau 1 | xi x') - qB Qt(tau 0 | xi x') = B**(1-x') Qt(tau | xi)."""
     admit("verify", L)
-    return _right_boundary(L, p, _tables(L + 1, p, -1))
-
-
-def _right_boundary(L: int, p: ModelParams, tables: list) -> VerificationReport:
-    report = VerificationReport("right-boundary", f"L={L}", p)
-    _boundary(report, L, p, False, p.q * p.B, (p.B, 1), tables)
-    return report
+    return _boundary(L, p, False, _tables(L + 1, p, -1))
 
 
 def check_bulk(L1: int, L2: int, p: ModelParams) -> VerificationReport:
@@ -314,9 +312,9 @@ def _verify(L: int, p: ModelParams, which: str) -> list[VerificationReport]:
     tables = _tables(top, p, L if which in ("basic", "all") else -1)
     reports = []
     if which in ("left", "all"):
-        reports += [_left_boundary(ell, p, tables) for ell in range(L + 1)]
+        reports += [_boundary(ell, p, True, tables) for ell in range(L + 1)]
     if which in ("right", "all"):
-        reports += [_right_boundary(ell, p, tables) for ell in range(L + 1)]
+        reports += [_boundary(ell, p, False, tables) for ell in range(L + 1)]
     if which in ("bulk", "all"):
         reports += [
             _bulk(n1, n2, p, tables)

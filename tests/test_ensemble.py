@@ -172,6 +172,28 @@ class TestStationaryMu:
         # a list of 3**12 one-digit ints: a pointer and an int per entry
         assert peak < 3 ** 12 * (8 + sys.getsizeof(1 << 29))
 
+    def test_fold_drops_the_key_weights_after_its_first_level(self):
+        # at 80-digit parameters the key weights are large integers; the
+        # same walk and fold with the weight list held peaks higher
+        p = ModelParams(F(10**60 + 7, 10**61 + 9), F(10**80 + 3, 7**90), F(3, 7))
+        L = 8
+
+        def held():
+            links, weights, _ = _walk(L, p)
+            weights = list(weights)
+            _fold_masses(links, weights)
+
+        stationary_mu(L, p)  # memoizes the composition polynomials
+        peaks = []
+        for run in (lambda: stationary_mu(L, p), held):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.85 * peaks[1]
+
     def test_strictly_positive(self):
         # strict positivity is promised for A, B > 0 and holds at the edges
         # as well because the flat path supports every top layer

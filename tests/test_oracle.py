@@ -29,7 +29,6 @@ from asep2l.oracle import (
     _entries,
     _integer_generator,
     _inverse_mod_p,
-    _is_stationary,
     _lifting_dtype,
     _primes_for,
     _reconstruct_common,
@@ -162,17 +161,9 @@ def random_block_system(rng, sizes: list[int]):
     return rows, [rng.randrange(-9, 10) for _ in rows]
 
 
-def integer_masses(dist: Distribution, dim: int) -> list[int]:
-    """The law's masses, indexed by word."""
-    masses = [0] * dim
-    for occ, m in zip(dist.states, dist.masses):
-        masses[occ.word] = m
-    return masses
-
-
-def corrupt_first_candidate(monkeypatch, n: int) -> tuple[list, list]:
+def corrupt_first_candidate(monkeypatch, n: int, k: int) -> tuple[list, list]:
     """Make the first complete candidate of an n-entry solution, n integer
-    numerators over one denominator, wrong by one in its last numerator.
+    numerators over one denominator, wrong by one in its numerator k.
     Returns the modulus of every reconstruction, and that of the corruption."""
     real = oracle._reconstruct_common
     moduli: list = []
@@ -185,7 +176,7 @@ def corrupt_first_candidate(monkeypatch, n: int) -> tuple[list, list]:
             num, den = candidate
             assert len(num) == n  # a candidate covers every entry
             corrupted.append(m)
-            return num[:-1] + [num[-1] + 1], den
+            return num[:k] + [num[k] + 1] + num[k + 1 :], den
         return candidate
 
     monkeypatch.setattr(oracle, "_reconstruct_common", wrong_once)
@@ -470,7 +461,7 @@ class TestExactSolvers:
 
     def test_solve_rejects_a_wrong_candidate(self, monkeypatch):
         rows, rhs = random_block_system(random.Random(7), [6])
-        calls, corrupted = corrupt_first_candidate(monkeypatch, len(rows))
+        calls, corrupted = corrupt_first_candidate(monkeypatch, len(rows), len(rows) - 1)
         x = solve_dixon(rows, rhs)
         assert [sum(v * x[j] for j, v in row.items()) for row in rows] == rhs
         assert corrupted and max(calls) > corrupted[0]  # a later checkpoint ran
@@ -478,7 +469,7 @@ class TestExactSolvers:
     def test_exact_law_survives_a_wrong_candidate(self, monkeypatch):
         p = POINTS[1]
         g = build_generator(4, rates_from_params(p))
-        calls, corrupted = corrupt_first_candidate(monkeypatch, g.dim)
+        calls, corrupted = corrupt_first_candidate(monkeypatch, g.dim, g.dim - 1)
         assert stationary_exact(g) == stationary_mu(4, p)
         assert corrupted and max(calls) > corrupted[0]  # a later checkpoint ran
 
@@ -639,19 +630,24 @@ class TestExactSolvers:
             assert [a.tolist() for a in _integer_generator(g)] == list(per_entry(g))
 
     @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
-    def test_certificate_accepts_only_the_stationary_masses(self, p):
+    def test_certificate_accepts_only_the_stationary_masses(self, p, monkeypatch):
+        # the solve's exact check is the only one: a complete candidate
+        # wrong by one in any unknown, the empty word's included, is
+        # refused, and a later checkpoint gives the law
         for L in range(1, 6):
             g = build_generator(L, rates_from_params(p))
-            entries = _integer_generator(g)
-            masses = integer_masses(stationary_exact(g), g.dim)
-            assert _is_stationary(entries, masses)
-            assert _is_stationary(entries, [3 * m for m in masses])
-            for w in range(g.dim):
-                bumped = list(masses)
-                bumped[w] += 1
-                assert not _is_stationary(entries, bumped)
-            assert not _is_stationary(entries, [-m for m in masses])
-            assert not _is_stationary(entries, [0] * g.dim)
+            mu = stationary_mu(L, p)
+            for k in range(g.dim):
+                with monkeypatch.context() as patch:
+                    calls, corrupted = corrupt_first_candidate(patch, g.dim, k)
+                    assert stationary_exact(g) == mu
+                assert corrupted and max(calls) > corrupted[0]
+
+    def test_negative_masses_are_refused(self):
+        # G = [[1, -1], [1, -1]]: its pinned system solves to masses 1 and -1
+        g = GeneratorMatrix(1, ({1: F(-1)}, {0: F(1)}))
+        with pytest.raises(SingularSystem):
+            stationary_exact(g)
 
     def test_lifting_dtype_follows_the_bound(self):
         # int64 exactly while max|rhs| < 2**62 and k max|v| 2**24 < 2**62,
@@ -779,6 +775,102 @@ class TestExactSolvers:
         assert list(_primes_for(k)) == expected
 
 
+# steps, site densities and visited-state frequencies (none above L = 12)
+# of seeded runs of horizon 300 after a burn-in of 5, by (point, L, seed):
+# TestGillespie's statistical tests would pass a changed stream of draws,
+# these figures, compared with ==, would not
+SEEDED_RUNS = {
+    ((F(1, 2), F(1), F(2)), 3, 0): (
+        410,
+        (
+            0.6146404100427062, 0.672216752187364, 0.6408804704664307,
+        ),
+        {
+            "000": 0.04741493026663155, "001": 0.06788269800533774,
+            "010": 0.08265461573699734, "011": 0.1874073459483272,
+            "100": 0.08473633068711978, "101": 0.1277492888535469,
+            "110": 0.14431365284282058, "111": 0.2578411376592189,
+        },
+    ),
+    ((F(1, 2), F(1), F(2)), 3, 7): (
+        433,
+        (
+            0.5075011659476417, 0.6161272855417311, 0.6800238090868324,
+        ),
+        {
+            "000": 0.04018925840209436, "001": 0.1721335349744254,
+            "010": 0.0891093014300138, "011": 0.1910667392458247,
+            "100": 0.059538640465411324, "101": 0.11201128061633772,
+            "110": 0.13113899061564807, "111": 0.20481225425024463,
+        },
+    ),
+    ((F(1, 2), F(1), F(2)), 13, 0): (
+        1294,
+        (
+            0.528369628975763, 0.5310612635558718, 0.5642132649195172, 0.616701675379545,
+            0.617331504389364, 0.6079246613727415, 0.693172399100717, 0.6249641772985659,
+            0.6367849118566998, 0.6760842555103342, 0.7435356983469871, 0.7369372753224407,
+            0.7222361007726029,
+        ),
+        None,
+    ),
+    ((F(1, 2), F(1), F(2)), 13, 7): (
+        1581,
+        (
+            0.4892371259669511, 0.5420616384086833, 0.5418519672671207, 0.5761165058284463,
+            0.6155950044008986, 0.5048212141653757, 0.5197416843760141, 0.5443567006309569,
+            0.6260824655448683, 0.6442573484550924, 0.628072300000109, 0.6380931574441617,
+            0.7021036242411204,
+        ),
+        None,
+    ),
+    ((F(9, 10), F(1, 7), F(5, 3)), 3, 0): (
+        413,
+        (
+            0.8299040431990046, 0.7592613099843216, 0.672275216501864,
+        ),
+        {
+            "000": 0.02690594026640529, "001": 0.014142796436313661,
+            "010": 0.0294393824925587, "011": 0.09960783760571781,
+            "100": 0.07465669229007484, "101": 0.12503326102288465,
+            "110": 0.19672276844909728, "111": 0.4334913214369478,
+        },
+    ),
+    ((F(9, 10), F(1, 7), F(5, 3)), 3, 7): (
+        475,
+        (
+            0.786230257977662, 0.7479525155532676, 0.6538026917951737,
+        ),
+        {
+            "000": 0.006439198442664633, "001": 0.05456545616295413,
+            "010": 0.050257681423156245, "011": 0.102507405993563,
+            "100": 0.0653705452620988, "101": 0.12567228457901494,
+            "110": 0.22412988307690662, "111": 0.3710575450596416,
+        },
+    ),
+    ((F(9, 10), F(1, 7), F(5, 3)), 13, 0): (
+        1598,
+        (
+            0.8596507163194612, 0.8438414595566198, 0.8003419440117843, 0.7836057696893317,
+            0.7337325845602091, 0.7361970189004792, 0.647929628633883, 0.6705569759366888,
+            0.6533415461518216, 0.6003861246519696, 0.6331115738438504, 0.665525334513371,
+            0.6360481032939806,
+        ),
+        None,
+    ),
+    ((F(9, 10), F(1, 7), F(5, 3)), 13, 7): (
+        1720,
+        (
+            0.8074028993440092, 0.786335385756912, 0.7796601384669953, 0.7427348296265599,
+            0.6589184964718007, 0.7336852730715934, 0.7390309036145967, 0.6761494848988095,
+            0.6597259575739775, 0.6692604563809802, 0.6759136562372532, 0.6136931230240819,
+            0.6205620144462969,
+        ),
+        None,
+    ),
+}
+
+
 class TestGillespie:
     def test_two_state_frequency(self):
         p = ModelParams(F(1, 2), F(2), F(1))
@@ -839,6 +931,18 @@ class TestGillespie:
             "101": 0.18511373415681523,
             "011": 0.10481454675784627,
         }
+
+    @pytest.mark.parametrize("point, L, seed", SEEDED_RUNS)
+    def test_stream_of_draws_is_pinned(self, point, L, seed):
+        steps, density, freq = SEEDED_RUNS[point, L, seed]
+        r = rates_from_params(ModelParams(*point))
+        result = gillespie_simulate(L, r, horizon=300.0, burn_in=5.0, seed=seed)
+        assert result.steps == steps
+        assert result.site_density == density
+        if freq is None:
+            assert result.config_freq is None
+        else:
+            assert {str(s): f for s, f in result.config_freq.items()} == freq
 
     def test_expected_events_are_capped_before_the_run(self):
         r = rates_from_params(POINTS[2])
