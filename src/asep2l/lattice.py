@@ -78,7 +78,7 @@ class Occupation(Record, frozen=True):
     def from_string(cls, text: str) -> "Occupation":
         if not all(ch in "01" for ch in text):
             raise ValueError(f"occupation strings use only 0 and 1: {text!r}")
-        return cls.from_bits([int(ch) for ch in text])
+        return cls(len(text), int(text[::-1], 2) if text else 0)
 
     def bit(self, j: int) -> int:
         """Occupancy of site j (1-based)."""

@@ -17,15 +17,15 @@ diagonal included; the pin x(empty) = 1, which replaces the empty word's
 redundant equation, and the block solve both read
 those arrays. The solver for block-tridiagonal integer systems,
 _solve_blocks, takes the entries of that pinned system; its bands Lo (to
-the previous block), D (to its own) and Up (to the next) are slices of
-those entries, sorted once by (row block, column block). It eliminates
-block by block modulo a word-sized prime, inverting each Schur
-complement S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1} Up_t by one
+the previous block), D (to its own) and Up (to the next) are selected
+from those entries by a label of each entry's band, in their given
+order. It eliminates block by block modulo a word-sized prime, inverting
+each Schur complement S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1} Up_t by one
 Gauss-Jordan kernel, and lifts that elimination p-adically to the exact
-rational solution (Dixon's method with rational
-reconstruction). This costs sum_N C(L, N)**3 operations per prime
-instead of 8**L for one dense elimination, and each p-adic digit costs
-two matrix-vector products per block. The kernel eliminates by panels of
+rational solution (Dixon's method with rational reconstruction). This
+costs sum_N C(L, N)**3 operations per prime instead of 8**L for one
+dense elimination, and each p-adic digit costs two matrix-vector
+products per block. The kernel eliminates by panels of
 PANEL columns and applies each panel to the rest of the matrix as
 float64 (BLAS) products of residues, ROWS rows at a time, exact because
 the prime is kept below 2**24 (PANEL * p**2 < 2**53); the panel's factor
@@ -76,7 +76,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, tee
 from math import gcd, isfinite, isqrt, lcm
 
 _BLAS_THREADS_CHOSEN = any(
@@ -175,9 +175,9 @@ def _moves(w: int, L: int, right, left, alpha, beta, gamma, delta) -> list:
 def build_generator(L: int, r: Rates, max_L: int | None = None) -> GeneratorMatrix:
     """Assemble the generator over all 2**L occupation words.
 
-    Each move stores its rate object itself, shared by every row. Two moves
-    reach the same word only at L = 1, where site 1 is site L, and there
-    their rates are summed.
+    Each move stores its rate object itself, so the rows share six rate
+    objects, which saves memory. Two moves reach the same word only at
+    L = 1, where site 1 is site L, and there their rates are summed.
     """
     admit("generator", L, max_L)
     if L < 1:
@@ -206,16 +206,18 @@ def _entries(rows):
 
 def _integer_generator(g: GeneratorMatrix):
     """The generator with its denominators cleared, as entries (i, j, v) of
-    G: each move i -> j at its scaled rate, then each word's diagonal entry,
-    minus its row's sum. A row that lists its own word leaves two entries at
-    (i, i); they sum to G[i, i], in which that rate cancels. Each distinct
-    rate object is scaled once: build_generator shares six among all rows."""
+    G: each move i -> j at its rate times the lcm of the rates'
+    denominators, then each word's diagonal entry, minus its row's sum. A
+    row that lists its own word leaves two entries at (i, i); they sum to
+    G[i, i], in which that rate cancels. Moves of equal scaled rate share
+    one int, the first made of that value, which matters where those ints
+    are large: at L = 12 and 9-digit parameters one int per move would
+    hold 1.1 MiB more through the solve."""
     i, j, rates = _entries(g.rows)
-    ids = np.fromiter(map(id, rates), np.int64, len(rates))
-    _, first, which = np.unique(ids, return_index=True, return_inverse=True)
-    distinct = rates[first]
-    scale = lcm(*{f.denominator for f in distinct})
-    v = np.array([f.numerator * (scale // f.denominator) for f in distinct], object)[which]
+    scale = lcm(*{f.denominator for f in rates})
+    scaled = (f.numerator * (scale // f.denominator) for f in rates)
+    # the dict keeps the first int of each value, and every move takes that one
+    v = np.fromiter(map({}.setdefault, *tee(scaled)), object, len(rates))
     diagonal = np.zeros(g.dim, dtype=object)
     np.subtract.at(diagonal, i, v)
     words = np.arange(g.dim)
@@ -268,8 +270,14 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     and delay their rank-1 updates (Dumas, Giorgi and Pernet, "Dense linear
     algebra over word-size prime fields: the FFLAS and FFPACK packages",
     ACM TOMS 35(3), 2008). A panel's steps run on a reduced copy of its
-    columns, with their row swaps also applied to the whole matrix, and
-    leave T[:, K] in the copy: T is the panel's row operations after its
+    columns, with their row swaps also applied to the whole matrix. Each
+    step there is one rank-1 update of the copy, by the outer product of
+    the reduced pivot column, less one at the pivot, and the reduced pivot
+    row times inv, the pivot's inverse, with inv + 1 in column k. Mod p,
+    row k becomes itself less (pivot - 1) times that row, which is the
+    scaled row, and column k becomes -inv times the column off the pivot
+    and pivot - (pivot - 1)(inv + 1) = inv at it. The steps leave T[:, K]
+    in the copy: T is the panel's row operations after its
     swaps, and differs from I only in the columns K. Every other column
     then takes the panel's steps at once, a += (T[:, K] - I[:, K]) @ a[K],
     with both factors reduced to [0, p) and multiplied in float64, exact
@@ -286,8 +294,11 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     columns and in the rows that enter the product, which only adds, so
     every entry stays below one residue plus one product below p**2 per
     step, n products in all for the n x n kernel (see _primes_for); inside a
-    panel only the pivot row and column are reduced at each step. Raises
-    ValueError for p above those bounds, _SingularModP if singular mod p.
+    panel only the pivot row and column are reduced at each step. Their
+    factors are below p and at most p, so a step subtracts less than p**2
+    from an entry of the copy, which stays below PANEL * p**2 + p < 2**53.
+    Raises ValueError for p above those bounds, _SingularModP if singular
+    mod p.
     """
     n = a.shape[0]
     if not (n * p * p < 2**63 and PANEL * p * p < 2**53):
@@ -312,10 +323,8 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
                 swaps.append((k, piv))
             inv = pow(int(col[k]), -1, p)
             row = panel[k] % p * inv % p
-            row[k - k0] = inv
-            col[k] = 0
-            panel[:, k - k0] = 0
-            panel[k] = row
+            row[k - k0] = inv + 1
+            col[k] -= 1
             panel -= np.multiply.outer(col, row, out=outer)
         panel %= p
         # T[:, K] - I[:, K] on the float side: I[:, K] is one on the
@@ -400,8 +409,9 @@ def _ell(r: np.ndarray, c: np.ndarray, v: np.ndarray, n: int):
 
 
 def _gather(idx: np.ndarray, val: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sparse rows (idx, val) times a vector x, unreduced."""
-    return np.einsum("rk,rk->r", val, x[idx])
+    """Sparse rows (idx, val) times a vector x, unreduced; in objects if
+    either is."""
+    return (val * x[idx]).sum(axis=1)
 
 
 # p-adic digits lifted per prime before the next prime is tried
@@ -422,17 +432,14 @@ def _lifting_dtype(val: np.ndarray, rhs: np.ndarray):
     return np.int64 if fits else object
 
 
-def _band_order(r: np.ndarray, c: np.ndarray, bounds: np.ndarray):
-    """The entries (row r, column c) sorted stably by (row block, column
-    block), as an order and the edges of its bands: the entries from block
-    t to block u are order[edges[k] : edges[k + 1]], with k = 2t + u + 1.
-    Raises ValueError for an entry outside the bands, |t - u| > 1."""
+def _bands(r: np.ndarray, c: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The band 2t + u of each entry (row r, column c) from block t to block
+    u, distinct for every |t - u| <= 1. Raises ValueError for an entry
+    outside the bands, |t - u| > 1."""
     br, bc = (np.searchsorted(bounds, a, side="right") - 1 for a in (r, c))
     if (abs(bc - br) > 1).any():
         raise ValueError("system is not block tridiagonal")
-    k = 2 * br + bc + 1
-    order = np.argsort(k, kind="stable")
-    return order, np.searchsorted(k[order], np.arange(3 * (len(bounds) - 1) + 1))
+    return 2 * br + bc
 
 
 def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[int]):
@@ -443,11 +450,12 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
     consecutive blocks of the given sizes, and a row of block t may reach
     only the columns of blocks t - 1, t and t + 1; any other entry raises
     ValueError. The entries are padded once into sparse rows for the exact
-    products. The entries are sorted once, stably, by (row block, column
-    block) (_band_order), so that each band of block t is a slice of that
-    order: D_t (to block t itself), summed into a dense matrix, and Lo_t
-    (to block t - 1) and Up_t (to block t + 1), compacted into sparse rows
-    of their own.
+    products. Each entry is labeled once by its band (_bands), and a band
+    of block t is the entries with its label, in their given order: D_t (to
+    block t itself), summed into a dense matrix, and Lo_t (to block t - 1)
+    and Up_t (to block t + 1), compacted into sparse rows of their own.
+    Every product of padded rows with a vector is one gather (_gather): the
+    mod-p sweeps', the lifting's and the exact check's.
 
     Over GF(p) the system is eliminated block by block: the Schur
     complements are S_1 = D_1 and S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1}
@@ -489,20 +497,17 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
     """
     n = len(rhs)
     bounds = np.cumsum([0, *sizes])
-    order, edges = _band_order(r, c, bounds)
+    bands = _bands(r, c, bounds)
     idx, val = _ell(r, c, v, n)
     rhs = np.array(rhs, dtype=object)
     val = val.astype(_lifting_dtype(val, rhs))
-
-    def times(x):  # the product of the system with x, in objects if either is
-        return (val * x[idx]).sum(axis=1)
 
     def factor(p):  # the elimination over GF(p); returns its solver
         vp = (v % p).astype(np.int64)
         invs, los, ups = [], [], []
 
         def band(t, u):  # block t to block u, with rows and columns local
-            m = order[edges[2 * t + u + 1] : edges[2 * t + u + 2]]
+            m = bands == 2 * t + u
             return r[m] - bounds[t], c[m] - bounds[u], vp[m]
 
         def schur(t):  # S_t, returned so that no reference outlives its inversion
@@ -557,13 +562,13 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
             xk = solve((residue % p).astype(np.int64, copy=False))
             combined += p_power * xk.astype(object)
             p_power *= p
-            residue = (residue - times(xk)) // p  # p divides it
+            residue = (residue - _gather(idx, val, xk)) // p  # p divides it
             if digits & (digits - 1) == 0 or digits == MAX_DIGITS:
                 candidate = _reconstruct_common(combined, p_power)
                 if candidate is None:
                     continue
                 num, den = candidate
-                if (times(np.array(num, dtype=object)) == den * rhs).all():
+                if (_gather(idx, val, np.array(num, dtype=object)) == den * rhs).all():
                     return num, den
         raise SingularSystem("p-adic lifting did not converge")
     raise SingularSystem("system singular modulo every tested prime")

@@ -41,8 +41,9 @@ class TestOccupation:
             Occupation.from_string("10").bit(3)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            Occupation.from_string("012")
+        for text in ("012", "1_0", " 10"):  # int(text, 2) takes "_" and spaces
+            with pytest.raises(ValueError):
+                Occupation.from_string(text)
         with pytest.raises(ValueError):
             Occupation.from_bits([0, 2])
         with pytest.raises(ValueError):

@@ -453,11 +453,14 @@ class TestExactSolvers:
         x = [F(v, den) for v in num]
         assert [sum(v * x[j] for j, v in row.items()) for row in rows] == rhs
         assert x == solve_dixon(rows, rhs)
-        # every entry split into two at its position, which must add up
+        # every entry split into two at its position, which must add up,
+        # then those entries in a random order, which the bands must not see
         r, c, v = _entries(rows)
         part = np.array([rng.choice([-2, -1, 1, 2]) for _ in v], dtype=object)
-        r, c = np.concatenate([r, r]), np.concatenate([c, c])
-        assert _solve_blocks(r, c, np.concatenate([v - part, part]), rhs, sizes) == (num, den)
+        r, c, v = np.concatenate([r, r]), np.concatenate([c, c]), np.concatenate([v - part, part])
+        assert _solve_blocks(r, c, v, rhs, sizes) == (num, den)
+        order = np.array(rng.sample(range(len(v)), len(v)), dtype=np.int64)
+        assert _solve_blocks(r[order], c[order], v[order], rhs, sizes) == (num, den)
 
     def test_solve_rejects_a_wrong_candidate(self, monkeypatch):
         rows, rhs = random_block_system(random.Random(7), [6])
@@ -510,6 +513,18 @@ class TestExactSolvers:
         a[-1, 0] = 3
         inv = _inverse_mod_p(a.copy(), p)  # the kernel consumes its argument
         assert inv.dtype == np.int64 and ((0 <= inv) & (inv < p)).all()
+        assert (inv == reference_inverse_mod_p(a, p)).all()
+        exact = inv.astype(object) @ a.astype(object)
+        assert ((exact % p) == np.eye(n, dtype=object)).all()
+
+    def test_inverse_mod_p_with_every_pivot_p_minus_one(self):
+        # (p - 1) I plus entries below the diagonal: no swap, and every pivot
+        # is p - 1, its own inverse, so a step's row factor reaches inv + 1 = p
+        n = 2 * PANEL + 1  # three panels
+        p = next(_primes_for(n))
+        a = np.tril(random_mod_p(random.Random(n), n, p), -1)
+        np.fill_diagonal(a, p - 1)
+        inv = _inverse_mod_p(a.copy(), p)
         assert (inv == reference_inverse_mod_p(a, p)).all()
         exact = inv.astype(object) @ a.astype(object)
         assert ((exact % p) == np.eye(n, dtype=object)).all()
@@ -618,6 +633,9 @@ class TestExactSolvers:
         generators = [
             build_generator(L, rates_from_params(p)) for L in range(1, 7) for p in POINTS
         ]
+        # scaled rates too large for the ints that CPython caches
+        big = ModelParams(F(123456789, 987654321), F(1000000007, 3), F(5, 999999937))
+        generators.append(build_generator(4, rates_from_params(big)))
         # equal rates as distinct objects, and a rate that no other entry shares
         rows = [
             {j: F(f.numerator, f.denominator) for j, f in row.items()}
@@ -627,7 +645,10 @@ class TestExactSolvers:
         assert len({id(f) for row in rows for f in row.values()}) == sum(map(len, rows))
         generators.append(GeneratorMatrix(4, tuple(rows)))
         for g in generators:
-            assert [a.tolist() for a in _integer_generator(g)] == list(per_entry(g))
+            i, j, v = _integer_generator(g)
+            assert [a.tolist() for a in (i, j, v)] == list(per_entry(g))
+            moves = v[: len(v) - g.dim].tolist()  # equal scaled rates are one int
+            assert len({id(x) for x in moves}) == len(set(moves))
 
     @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
     def test_certificate_accepts_only_the_stationary_masses(self, p, monkeypatch):
