@@ -7,11 +7,13 @@ its key: its composition and the heights of its ends above its minimum.
 The marginal therefore weighs each distinct key of length L once, as an
 integer over one common denominator, and folds those weights back along
 the walk of keys (weights._key_levels), one site at a time, into the
-2**L top-layer masses: an up step forces the site's bit to 1, a down step
-to 0, and a level step adds to both. Each length holds about 7 * 2**L
-masses, so the 3**L paths are never tabulated. The path law and the
-sampler gather the same key weights forward, along the same links, into
-the table of the 3**L path weights in step-lexicographic order. The key
+2**L top-layer masses (weights._fold_masses): an up step forces the
+site's bit to 1, a down step to 0, and a level step adds to both. Each
+length holds about 7 * 2**L masses, so the 3**L paths are never
+tabulated. The path law and the sampler gather the same key weights
+forward, along the same links (weights._next_ids), into the table of the
+3**L path weights in step-lexicographic order. _walk collects the one
+walk that each of them reads; the links stay opaque here. The key
 weights keep the closed-form denominator they are weighed over, and the
 law keeps its masses over their total: it divides only when read. The
 basic weights Phi are that law times one factor, tilde_scale(L) * Z_L.
@@ -24,7 +26,6 @@ All arithmetic is exact; no floats enter this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Iterator
 
 from .errors import NotInConfigurationSpace
@@ -39,7 +40,7 @@ from .lattice import (
     path_of,
 )
 from .record import Record
-from .weights import ModelParams, _key_levels, _weigh_keys, q_weight
+from .weights import ModelParams, _fold_masses, _key_levels, _next_ids, _weigh_keys, q_weight
 
 
 class Distribution(Record, frozen=True):
@@ -135,7 +136,7 @@ def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None
 
 
 def _walk(L: int, p: ModelParams) -> tuple[list, Iterator[int], int]:
-    """The id lists (down, level, up) of lengths 1..L of the key walk, in
+    """The id arrays (down, level, up) of lengths 1..L of the key walk, in
     order, and the weights of the keys of length L as integers over the
     closed-form denominator of weights._weigh_keys, which is returned with
     them; it need not be the least one."""
@@ -147,32 +148,6 @@ def _walk(L: int, p: ModelParams) -> tuple[list, Iterator[int], int]:
     # over the list: once the fold has read it into its first level, the
     # exhausted iterator drops the list and the weights go with that level
     return links[1:], iter(list(weights)), den
-
-
-def _fold_masses(links: list, weights: Iterable[int]) -> list[int]:
-    """Top-layer masses of the paths, in enumerate_occupations order, from
-    the weights of the keys at the end of links.
-
-    Folded back one length at a time: a key's masses, over the top layers
-    of the sites after it, are those of its down and level children added
-    entrywise (the next site empty) followed by those of its up and level
-    children (the next site occupied); a key of the last length has its
-    weight as its only mass. A length holds about 7 * 2**L masses in all.
-    """
-    masses = [[w] for w in weights]
-    for down, level, up in reversed(links):
-        masses = [
-            [*map(add, masses[d], masses[h]), *map(add, masses[u], masses[h])]
-            for d, h, u in zip(down, level, up)
-        ]
-    return masses[0]
-
-
-def _next_ids(ids: list, down: list, level: list, up: list) -> list:
-    """Key ids of the paths one step longer, in step-lexicographic order,
-    from those of the paths of the previous length."""
-    moves = list(zip(down, level, up))
-    return [child for i in ids for child in moves[i]]
 
 
 def _path_weights(L: int, p: ModelParams) -> tuple[list[int], int]:

@@ -17,7 +17,7 @@ order, so
 with W_L the path weights of size L as integers over den_L, in the order
 of ensemble._path_weights. Summed over the bottom layer, Phi_L(tau) =
 tilde_scale(L) * M_L[tau's number] / den_L, with the top-layer masses M_L
-of ensemble._fold_masses numbered by tau's bits, site 1 first. So an
+of weights._fold_masses numbered by tau's bits, site 1 first. So an
 equation is checked once per entry k of the short table: the added sites
 put their digits first, last or between a prefix and a suffix (bulk),
 and each side is the slice of a table whose digit of one place value is
@@ -31,9 +31,11 @@ Fraction sides.
 A verification run walks the keys once (weights._key_levels), up to the
 largest size it reads, and builds from that one walk the tables of every
 size: each size's keys are weighed once, and their weights are gathered
-forward into W_L and folded back into M_L. Each public checker is a run
-of its own, and _verify, the run of the `verify` command, keeps the
-tables for all its checks and drops them when it returns.
+forward into W_L (weights._next_ids) and folded back into M_L
+(weights._fold_masses), the folds that the marginal and the path law
+read too. Each public checker is a run of its own, and _verify, the run
+of the `verify` command, keeps the tables for all its checks and drops
+them when it returns.
 
 Each public checker admits its size against the `verify` row of MAX_L
 (the bulk checker the long pair's L1 + L2 + 2, after refusing a negative
@@ -47,10 +49,9 @@ from fractions import Fraction
 from itertools import product
 from operator import add
 
-from .ensemble import _fold_masses, _next_ids
 from .lattice import Occupation, admit, enumerate_occupations, enumerate_pairs
 from .record import Record
-from .weights import ModelParams, _key_levels, _weigh_keys
+from .weights import ModelParams, _fold_masses, _key_levels, _next_ids, _weigh_keys
 
 FAILURES_KEPT = 10
 

@@ -62,15 +62,14 @@ def _site_masks(sites: int, offset: int) -> list[tuple[int, int]]:
 def _path_draws(L: int, p: ModelParams, n: int, rng: random.Random) -> list:
     """n pairs drawn through the path law, then coins on the level steps."""
     weights, _ = _path_weights(L, p)
-    levels = [0]
-    for _ in range(L):
-        levels = [h + step for h in levels for step in (0, 1, 0)]
-    cum = list(accumulate(map(lshift, weights, levels)))
-    total = cum[-1]
-    del weights, levels  # only the cumulative masses stay for the draws
-    # path index i = hi * 3**low + lo: hi holds sites 1..L-low, lo the rest
+    # path index i = hi * 3**low + lo: hi holds sites 1..L-low, lo the rest,
+    # and the path's level count H is the sum of theirs
     low = L // 2
     head, tail = _site_masks(L - low, 0), _site_masks(low, L - low)
+    heads, tails = ([h.bit_count() for _, h in masks] for masks in (head, tail))
+    cum = list(accumulate(map(lshift, weights, (a + b for a in heads for b in tails))))
+    total = cum[-1]
+    del weights  # only the cumulative masses stay for the draws
     occupations = [Occupation(L, word) for word in range(1 << L)]
     full = (1 << L) - 1
     draws = []

@@ -38,16 +38,22 @@ every law over them, reduces or cross-multiplies when it is read.
 Every sum over paths is a fold over one walk of those keys, _key_levels,
 which grows the distinct keys one length at a time (about 7 * 2**L of
 them, against 3**L paths) and links each length's keys to the previous
-one's by a down, a level and an up step. partition_Z carries each key's
-multiplicity forward along those links; ensemble folds the key weights
-backward into the top-layer masses, and forward into the path table of
-the path law and the sampler; the identity checkers read both, for every
-size, from one walk.
+one's by a down, a level and an up step, as compact id arrays. Only the
+folds beside the walk index those links: partition_Z carries each key's
+multiplicity forward along them, _fold_masses folds the key weights
+backward into the top-layer masses, and _next_ids gathers the key ids
+of the paths forward into step-lexicographic order. ensemble collects
+one walk for the marginal, the path law and the sampler and hands its
+links to those folds; the identity checkers fold and gather, for every
+size, from one walk of their own.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from operator import add
+from typing import Iterable
 
 from .errors import SingularParameter
 from .lattice import (
@@ -262,25 +268,54 @@ def _extend(key: tuple[tuple[int, ...], int, int], step: int):
 def _key_levels(L: int):
     """Walk the distinct keys of the paths of each length 0..L.
 
-    Yields, for each length in turn, its keys and three id lists, down,
+    Yields, for each length in turn, its keys and three id arrays, down,
     level and up: entry i of each is the position among these keys of the
     key that the previous length's key i reaches by that step. Length 0
-    has no previous length, so its id lists are empty. Each key is
-    extended once, only one length's keys are held, and the ids are the
-    ints of the walk's index, so a consumer that keeps every length's id
-    lists, or gathers ids per path from them, makes no int per path.
+    has no previous length, so its id arrays are empty. Each key is
+    extended once and only one length's keys are held. The ids are
+    array('I') entries, 4 bytes each against a list's 8-byte pointer, so
+    they must stay below 2**32, which array enforces with OverflowError;
+    L = 16 has 478,652 keys.
     """
-    keys, down, level, up = [((1,), 0, 0)], [], [], []
+    keys, down, level, up = [((1,), 0, 0)], array("I"), array("I"), array("I")
     for _ in range(L):
         yield keys, down, level, up
         index: dict = {}
         down, level, up = (
-            [index.setdefault(_extend(key, step), len(index)) for key in keys]
+            array("I", [index.setdefault(_extend(key, step), len(index)) for key in keys])
             for step in (-1, 0, 1)
         )
         keys = list(index)
         del index
     yield keys, down, level, up
+
+
+def _fold_masses(links: list, weights: Iterable[int]) -> list[int]:
+    """Top-layer masses of the paths, in enumerate_occupations order, from
+    the weights of the keys at the end of links, the (down, level, up) id
+    arrays of lengths 1..L of one walk.
+
+    Folded back one length at a time: a key's masses, over the top layers
+    of the sites after it, are those of its down and level children added
+    entrywise (the next site empty) followed by those of its up and level
+    children (the next site occupied); a key of the last length has its
+    weight as its only mass. A length holds about 7 * 2**L masses in all.
+    """
+    masses = [[w] for w in weights]
+    for down, level, up in reversed(links):
+        masses = [
+            [*map(add, masses[d], masses[h]), *map(add, masses[u], masses[h])]
+            for d, h, u in zip(down, level, up)
+        ]
+    return masses[0]
+
+
+def _next_ids(ids: list, down: array, level: array, up: array) -> list:
+    """Key ids of the paths one step longer, in step-lexicographic order,
+    from those of the paths of the previous length. Each link is read out
+    of its array once, so the paths share the ints of their key ids."""
+    moves = list(zip(down, level, up))
+    return [child for i in ids for child in moves[i]]
 
 
 def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:

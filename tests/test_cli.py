@@ -511,21 +511,32 @@ def test_closed_output_pipe_exits_quietly():
     assert err == b""
 
 
-def test_verify_walks_the_keys_once(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        (["mu", "--L", "4"], [4]),
+        (["partition", "--L", "4"], [4]),
+        (["sample", "--L", "4", "--n", "5"], [4]),
+        # the boundary checks at L = 4 read size 5
+        (["verify", "--L", "4"], [5]),
+    ],
+    ids=["mu", "partition", "sample", "verify"],
+)
+def test_walks_the_keys_once(argv, sizes, monkeypatch, capsys):
     from asep2l import ensemble, recursions, weights
 
-    sizes = []
+    walks = []
     real = weights._key_levels
 
     def counted(L):
-        sizes.append(L)
+        walks.append(L)
         return real(L)
 
+    # every module that looks the walk up by name
     for module in (weights, ensemble, recursions):
         monkeypatch.setattr(module, "_key_levels", counted)
-    assert main(["verify", "--L", "4", *P_ARGS]) == 0
-    # one walk, to the size 5 that the boundary checks at L = 4 read
-    assert sizes == [5]
+    assert main([*argv, *P_ARGS]) == 0
+    assert walks == sizes
 
 
 class TestAdmission:

@@ -15,7 +15,6 @@ from asep2l.errors import (
 )
 from asep2l.ensemble import (
     Distribution,
-    _fold_masses,
     _path_weights,
     _walk,
     duchi_distribution,
@@ -37,7 +36,14 @@ from asep2l.lattice import (
     path_of,
 )
 from asep2l.oracle import build_generator, rates_from_params, stationary_exact
-from asep2l.weights import ModelParams, partition_Z, path_weight, q_weight, tilde_q_weight
+from asep2l.weights import (
+    ModelParams,
+    _fold_masses,
+    partition_Z,
+    path_weight,
+    q_weight,
+    tilde_q_weight,
+)
 
 GRID = [
     ModelParams(F(0), F(1), F(2)),

@@ -1,5 +1,6 @@
 """Tests for composition polynomials and the two-layer weight."""
 
+import sys
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
@@ -381,6 +382,14 @@ class TestIntegerKeyWeights:
                 F(0),
             )
             assert partition_Z(L, p) == slow
+
+    def test_walk_links_take_under_five_bytes_an_id(self):
+        # array('I') holds 4 bytes an id; a list holds an 8-byte pointer
+        size = ids = 0
+        for _, *links in _key_levels(12):
+            size += sum(map(sys.getsizeof, links))
+            ids += sum(map(len, links))
+        assert size < 5 * ids
 
     def test_weighing_hashes_no_fraction(self, monkeypatch):
         for keys, *_ in _key_levels(8):
