@@ -8,36 +8,44 @@ boundary constraint used throughout this package, gamma = q(1-alpha) and
 delta = q(1-beta) with alpha = 1/(1+A), beta = 1/(1+B).
 
 The stationary distribution is the one-dimensional nullspace of the
-transposed generator, normalized to total mass one. Bulk hops keep the
-particle number N and boundary moves change it by one, so with the
-states ordered by N the transposed generator is block tridiagonal, with
-blocks of size C(L, N). stationary_exact scales the generator to
-integers once, as one set of entry arrays (row, column, value) with the
-diagonal included; the pin x(empty) = 1, which replaces the empty word's
-redundant equation, and the block solve both read
-those arrays. The solver for block-tridiagonal integer systems,
-_solve_blocks, takes the entries of that pinned system; its bands Lo (to
-the previous block), D (to its own) and Up (to the next) are selected
-from those entries by a label of each entry's band, in their given
-order. It eliminates block by block modulo a word-sized prime, inverting
-each Schur complement S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1} Up_t by one
-Gauss-Jordan kernel, and lifts that elimination p-adically to the exact
-rational solution (Dixon's method with rational reconstruction). This
-costs sum_N C(L, N)**3 operations per prime instead of 8**L for one
-dense elimination, and each p-adic digit costs two matrix-vector
-products per block. The kernel eliminates by panels of
-PANEL columns and applies each panel to the rest of the matrix as
-float64 (BLAS) products of residues, ROWS rows at a time, exact because
-the prime is kept below 2**24 (PANEL * p**2 < 2**53); the panel's factor
-is formed in float64 and each product is added to the int64 matrix by
-one casting add, which reduces lazily under the bound n * p**2 < 2**63
-for an n x n block.
+transposed generator, normalized to total mass one. stationary_exact
+orders the words by their breadth-first level from the empty word, over
+the generator's moves taken in either direction (_levels). Every move
+joins two words at most one level apart, so in that order the transposed
+generator is block tridiagonal, with one block per level: 31 levels of
+at most 76 words at L = 10, where the particle numbers, which a move
+changes by at most one, give 11 blocks of up to 252. stationary_exact
+scales the generator to integers once, as one set of entry arrays (row,
+column, value) with the diagonal included; the level search, the pin
+x(empty) = 1, which replaces the empty word's redundant equation, and
+the block solve all read those arrays. The solver for block-tridiagonal
+integer systems, _solve_blocks, takes the entries of that pinned system;
+its bands Lo (to the previous block), D (to its own) and Up (to the
+next) are selected from those entries by a label of each entry's band,
+in their given order. It eliminates block by block modulo a word-sized
+prime, inverting each Schur complement S_{t+1} = D_{t+1} - Lo_{t+1}
+S_t^{-1} Up_t by one Gauss-Jordan kernel, and lifts that elimination
+p-adically to the exact rational solution (Dixon's method with rational
+reconstruction). For levels of n_t words this costs sum_t n_t**3
+operations per prime instead of 8**L for one dense elimination (3.4e6 at
+L = 10, against 3.8e7 in blocks by particle number), and each p-adic
+digit costs two matrix-vector products per block. The kernel eliminates
+by panels of PANEL columns and applies each panel to the rest of the
+matrix as float64 (BLAS) products of residues, ROWS rows at a time,
+exact because the prime is kept below 2**24 (PANEL * p**2 < 2**53); the
+panel's factor is formed in float64 and each product is added to the
+int64 matrix by one casting add, which reduces lazily under the bound
+n * p**2 < 2**63 for an n x n block. The Schur updates and the sweeps
+between blocks stay under the same bound for the largest block, since no
+row of a band to the previous or the next block has more entries than
+that block has words.
 
 The elimination's memory is its inverses: one per block, kept as int32
-since every residue is below p < 2**24, C(2L, L) entries in all (41.6 MB
-at L = 13). Beside them it holds one Schur complement, as int64, which
-the kernel reduces and overwrites with its inverse in place before that
-is cast to int32, and workspaces of ROWS rows: the kernel's float64
+since every residue is below p < 2**24, sum_t n_t**2 entries in all
+(9.8 MB at L = 13, where blocks by particle number held C(2L, L)
+entries, 41.6 MB). Beside them it holds one Schur complement, as int64,
+which the kernel reduces and overwrites with its inverse in place before
+that is cast to int32, and workspaces of ROWS rows: the kernel's float64
 product, and the rows of Lo_{t+1} S_t^{-1} that the Schur update of
 those rows reads. Every other temporary is a panel, a slot, a vector or
 the int32 copy of a finished inverse, so no second int64 matrix of a
@@ -63,8 +71,8 @@ built from (_moves), with the rates as floats.
 numpy is loaded with one OpenBLAS thread. Starting OpenBLAS's pool of
 threads is about half the cost of importing numpy, which every oracle
 request pays, while the kernel's BLAS products, at most ROWS x PANEL by
-PANEL x n, are too small up to the default size limit for a second
-thread to pay for itself. A caller who sets OPENBLAS_NUM_THREADS,
+PANEL x n, are too small for a second thread to pay for itself, at
+L = 14 as at the default size limit. A caller who sets OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS or OMP_NUM_THREADS keeps that choice. Otherwise
 OPENBLAS_NUM_THREADS=1 is set for the import alone, and os.environ is
 restored after it, so child processes see the environment unchanged.
@@ -461,13 +469,14 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
     complements are S_1 = D_1 and S_{t+1} = D_{t+1} - Lo_{t+1} S_t^{-1}
     Up_t, and each S_t^{-1} is kept mod p (_inverse_mod_p) as int32, which
     holds every residue since p < 2**24, so a single block is one dense
-    inverse. S_{t+1} is updated in place, ROWS rows at a time: those rows
-    of Lo_{t+1} S_t^{-1} are summed into one int64 buffer, one slot of
+    inverse. S_{t+1} is updated in place, ROWS rows at a time: those rows of
+    Lo_{t+1} S_t^{-1} are summed into one int64 buffer, one slot of
     Lo_{t+1}'s padded rows at a time (a gather of rows of the inverse),
     reduced, and subtracted from S_{t+1} one slot of the padded rows of the
-    transpose of Up_t at a time (a gather of columns of the buffer); for
-    the generator both bands hold only boundary moves, at most two per row
-    and per column. W_t = S_t^{-1} Up_t is never formed, and the kernel
+    transpose of Up_t at a time (a gather of columns of the buffer); for the
+    generator in level order a row or column of either band holds the moves
+    between one word and the words of the other level, bulk hops included,
+    at most 6 at L = 10. W_t = S_t^{-1} Up_t is never formed, and the kernel
     overwrites S_{t+1} with its inverse, so beside the int32 inverses the
     elimination holds one Schur complement and O(ROWS n) for a block of n
     rows. A solve is one forward sweep, z_t = S_t^{-1} y_t with y_t = b_t -
@@ -477,8 +486,7 @@ def _solve_blocks(r: np.ndarray, c: np.ndarray, v: np.ndarray, rhs, sizes: list[
     matmul would copy it to int64 first). No int64 kernel here sums more
     products than the largest block has rows, since a row of Lo_t or Up_t,
     or of the transpose of Up_t, has no more entries than the block it
-    reaches, and the inverses' float64 products sum PANEL (see
-    _primes_for).
+    reaches, and the inverses' float64 products sum PANEL (see _primes_for).
 
     That elimination is lifted p-adically (Dixon, "Exact solution of
     linear equations using p-adic expansions", Numer. Math. 40, 1982):
@@ -586,29 +594,58 @@ def solve_dixon(rows: list[dict[int, int]], rhs: list[int]) -> list[Fraction]:
     return [Fraction(v, den) for v in num]
 
 
+def _levels(i: np.ndarray, j: np.ndarray, dim: int) -> np.ndarray:
+    """Each word's breadth-first level from the empty word over the entries
+    (i, j) with i != j, each taken in either direction; -1 for a word the
+    search never reaches. Every such entry joins two words at most one
+    level apart, so in level order the system is block tridiagonal
+    (Cuthill and McKee, "Reducing the bandwidth of sparse symmetric
+    matrices", Proc. 24th ACM National Conference, 1969). Each level is
+    one vectorized step over the links whose source is in the frontier."""
+    off = i != j
+    src, dst = np.concatenate([i[off], j[off]]), np.concatenate([j[off], i[off]])
+    level = np.full(dim, -1)
+    level[0] = t = 0
+    frontier = level == 0
+    while frontier.any():
+        t += 1
+        reached = dst[frontier[src]]
+        level[reached[level[reached] < 0]] = t
+        frontier = level == t
+    return level
+
+
 def stationary_exact(g: GeneratorMatrix) -> Distribution:
     """The unique probability vector annihilated by the generator.
 
     The generator is scaled to integers once, as entries (i, j, v) of G
     (_integer_generator), and stationarity x @ G = 0 is the system whose
-    equation j reads column j. With the words ordered by particle number
-    (a stable sort of their popcounts) that system is block tridiagonal.
-    The equations sum to zero, so one is redundant: the empty word's
-    equation, its column of G, is replaced by the pin x(empty) = 1, one
-    entry with right-hand side 1. That square system over all 2**L words is
-    solved exactly by _solve_blocks, with one block per particle number, the
-    empty word alone in the block N = 0. The solution is kept as integer
-    masses over the least common denominator of its entries, which is the
-    empty word's mass, and the law is read from them in
-    enumerate_occupations order.
+    equation j reads column j. With the words in a stable order of their
+    breadth-first level from the empty word (_levels), over the entries i !=
+    j taken in either direction, that system is block tridiagonal: every
+    entry joins two words at most one level apart. The equations sum to
+    zero, so one is redundant: the empty word's equation, its column of G,
+    is replaced by the pin x(empty) = 1, one entry with right-hand side 1.
+    That square system over all 2**L words is solved exactly by
+    _solve_blocks, with one block per level, the empty word alone in level
+    0. The solution is kept as integer masses over the least common
+    denominator of its entries, which is the empty word's mass, and the law
+    is read from them in enumerate_occupations order.
 
     The pin is safe for every generator build_generator makes: alpha =
     1/(1+A) > 0 and beta = 1/(1+B) > 0, so the chain is irreducible and
-    pi(empty) > 0. Since the empty state is reachable from every state,
-    every Schur complement of the elimination is nonsingular too. A
-    generator whose pinned system is singular raises SingularSystem, and one
-    with a move that changes N by more than one, the empty word's moves
-    included, raises ValueError. Nonsingularity modulo a prime certifies
+    pi(empty) > 0. In any order that starts with the empty word, every
+    Schur complement of the elimination is nonsingular over Q too: after
+    the pin, the leading blocks are the generator restricted to the words
+    of levels 1 to t, a sub-generator that the chain can leave from each
+    of those words, since it reaches the empty word. The words that the
+    search never reaches share no entry with the others, so their rows of
+    G sum to zero among themselves and the pinned system is singular: one
+    such word raises SingularSystem at once, before any prime is tried,
+    and any other singular pinned system raises it once every prime
+    fails. A move that changes N by more than one, the empty word's moves
+    included, raises ValueError as a check of the input; the level order
+    itself needs no bound on N. Nonsingularity modulo a prime certifies
     that the nullspace is one-dimensional.
 
     The solve returns the masses only once they satisfy the pinned system
@@ -623,13 +660,16 @@ def stationary_exact(g: GeneratorMatrix) -> Distribution:
     i, j, v = _integer_generator(g)
     count = np.array([w.bit_count() for w in range(g.dim)])
     if (abs(count[i] - count[j]) > 1).any():
-        raise ValueError("generator is not block tridiagonal in the particle number")
-    words = np.argsort(count, kind="stable")  # the words in particle order
+        raise ValueError("a move changes the particle number by more than one")
+    level = _levels(i, j, g.dim)
+    if (level < 0).any():
+        raise SingularSystem("a word is not reachable from the empty word")
+    words = np.argsort(level, kind="stable")  # the words in level order
     place = np.empty_like(words)  # each word's unknown; the empty word's is 0
     place[words] = np.arange(g.dim)
     kept = j != 0  # every equation but the empty word's, which the pin replaces
     r, c = (np.append(place[a[kept]], 0) for a in (j, i))  # the pin's entry is (0, 0)
-    sizes = np.bincount(count).tolist()
+    sizes = np.bincount(level).tolist()
     num, den = _solve_blocks(r, c, np.append(v[kept], 1), [1] + [0] * (g.dim - 1), sizes)
     if min(num) < 0:
         raise SingularSystem("solution is not a stationary law of the generator")

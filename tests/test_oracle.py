@@ -29,6 +29,7 @@ from asep2l.oracle import (
     _entries,
     _integer_generator,
     _inverse_mod_p,
+    _levels,
     _lifting_dtype,
     _primes_for,
     _reconstruct_common,
@@ -196,6 +197,30 @@ def record_lifting_dtypes(monkeypatch) -> list:
     return dtypes
 
 
+def closed_form_level(w: int, L: int) -> int:
+    """The fewest moves from the empty word to w. Bit i of w is site i + 1,
+    with particles at x_1 < ... < x_N; the first k particles enter at site
+    1 and hop right, the others enter at site L and hop left, so the level
+    is the min over k of sum_{i <= k} x_i + sum_{i > k} (L + 1 - x_i)."""
+    x = [i + 1 for i in range(L) if w >> i & 1]
+    return min(sum(x[:k]) + sum(L + 1 - s for s in x[k:]) for k in range(len(x) + 1))
+
+
+def solve_in_order(g: GeneratorMatrix, key: np.ndarray):
+    """stationary_exact's pinned system with the words in a stable order of
+    key, one block per value of key, solved by _solve_blocks. Returns the
+    masses by word, their denominator and the block sizes."""
+    i, j, v = _integer_generator(g)
+    words = np.argsort(key, kind="stable")
+    place = np.empty_like(words)
+    place[words] = np.arange(g.dim)
+    kept = j != 0
+    r, c = (np.append(place[a[kept]], 0) for a in (j, i))
+    sizes = np.bincount(key).tolist()
+    num, den = _solve_blocks(r, c, np.append(v[kept], 1), [1] + [0] * (g.dim - 1), sizes)
+    return [num[k] for k in place], den, sizes
+
+
 def padic(value: F, m: int) -> int:
     """The residue mod m of a rational whose denominator is a unit mod m."""
     return value.numerator * pow(value.denominator, -1, m) % m
@@ -299,19 +324,20 @@ class TestExactSolvers:
 
     @pytest.mark.parametrize("p", POINTS + ACCEPTANCE_GRID)
     def test_methods_agree(self, p):
-        # the block solve by particle number against one dense inverse
+        # the block solve by breadth-first levels against one dense inverse
         for L in range(1, 9):
             g = build_generator(L, rates_from_params(p))
             assert stationary_exact(g) == dense_stationary(g)
 
+    @pytest.mark.parametrize("L", [12, 13])
     @pytest.mark.parametrize(
         "p", [ModelParams(F(1, 2), F(1, 2), F(1)), ModelParams(F(1, 2), F(9), F(7))]
     )
-    def test_matches_the_marginal_at_the_largest_size(self, p):
-        # a fan point (AB < 1) and a shock point: blocks of 495, 792 and
-        # 924 rows go through the mod-p kernel
-        g = build_generator(12, rates_from_params(p))
-        assert stationary_exact(g) == stationary_mu(12, p)
+    def test_matches_the_marginal_at_the_largest_size(self, p, L):
+        # a fan point (AB < 1) and a shock point: levels of up to 236 rows
+        # at L = 12 and 415 rows at L = 13 go through the mod-p kernel
+        g = build_generator(L, rates_from_params(p), max_L=13)
+        assert stationary_exact(g) == stationary_mu(L, p, max_L=13)
 
     def test_reconstruction_stops_at_the_first_failing_entry(self, monkeypatch):
         calls, candidates = [], []
@@ -495,12 +521,64 @@ class TestExactSolvers:
             stationary_exact(GeneratorMatrix(L, tuple(rows)))
 
     def test_rejects_moves_of_two_particles(self):
-        # the block solve needs each move to change N by at most one
+        # the generator's moves change N by at most one, which stationary_exact
+        # checks of its input before it orders the words by level
         rows = [{} for _ in range(4)]
         rows[0][3] = F(1)  # empty -> both sites filled
         rows[3][0] = F(1)
         with pytest.raises(ValueError):
             stationary_exact(GeneratorMatrix(2, tuple(rows)))
+
+    @pytest.mark.parametrize("p", ACCEPTANCE_GRID)
+    def test_level_order_equals_the_particle_order(self, p):
+        # the same pinned system in blocks by particle number, the order the
+        # levels replaced, and in blocks by level
+        for L in range(1, 9):
+            g = build_generator(L, rates_from_params(p))
+            i, j, _ = _integer_generator(g)
+            count = np.array([w.bit_count() for w in range(g.dim)])
+            by_particles = solve_in_order(g, count)
+            by_levels = solve_in_order(g, _levels(i, j, g.dim))
+            assert by_particles[2] == [comb(L, N) for N in range(L + 1)]
+            assert by_levels[2] == np.bincount(
+                [closed_form_level(w, L) for w in range(g.dim)]).tolist()
+            assert by_levels[:2] == by_particles[:2]
+
+    @pytest.mark.parametrize("p", [POINTS[0], POINTS[2]])
+    def test_levels_have_the_closed_form(self, p):
+        # at q = 0 the moves go one way only, which the search does not see
+        for L in range(1, 11):
+            g = build_generator(L, rates_from_params(p))
+            i, j, _ = _integer_generator(g)
+            assert _levels(i, j, g.dim).tolist() == [
+                closed_form_level(w, L) for w in range(g.dim)]
+
+    def test_the_kernel_sees_the_levels_at_ten_sites(self, monkeypatch):
+        # 31 levels of at most 76 rows, where the 11 particle numbers had
+        # blocks of up to 252 rows and sum n**2 = C(20, 10) = 184,756
+        real = oracle._inverse_mod_p
+        shapes = []
+
+        def spy(a, p):
+            shapes.append(a.shape)
+            return real(a, p)
+
+        monkeypatch.setattr(oracle, "_inverse_mod_p", spy)
+        stationary_exact(build_generator(10, rates_from_params(POINTS[2])))
+        sizes = [n for n, _ in shapes]
+        assert sizes == [m for _, m in shapes]
+        assert (len(sizes), max(sizes), sum(n * n for n in sizes)) == (31, 76, 55260)
+
+    def test_an_unreachable_word_is_refused_before_any_prime(self, monkeypatch):
+        # words 0 and 1 are joined, and so are words 2 and 3, but no move
+        # joins the two pairs: the pinned system has a second solution
+        def no_prime(k):
+            raise AssertionError("a prime was asked for")
+
+        monkeypatch.setattr(oracle, "_primes_for", no_prime)
+        rows = ({1: F(1)}, {0: F(1)}, {3: F(1)}, {2: F(2)})
+        with pytest.raises(SingularSystem):
+            stationary_exact(GeneratorMatrix(2, rows))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 31, 32, 33, 40, 64, 65, 100, 252])
     def test_inverse_mod_p_is_an_inverse(self, n):
@@ -541,7 +619,9 @@ class TestExactSolvers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        inverses = comb(2 * L, L) * 4  # sum over N of C(L, N)**2 int32 entries
+        # sum over N of C(L, N)**2 int32 entries: the inverses of blocks by
+        # particle number, three times those of the levels at L = 9
+        inverses = comb(2 * L, L) * 4
         block = comb(L, L // 2) ** 2 * 8  # one int64 matrix of the largest block
         assert peak < inverses + 7 * block
 
