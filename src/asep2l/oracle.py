@@ -84,7 +84,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from itertools import accumulate, chain, tee
+from itertools import accumulate, chain
 from math import gcd, isfinite, isqrt, lcm
 
 _BLAS_THREADS_CHOSEN = any(
@@ -220,12 +220,17 @@ def _integer_generator(g: GeneratorMatrix):
     G[i, i], in which that rate cancels. Moves of equal scaled rate share
     one int, the first made of that value, which matters where those ints
     are large: at L = 12 and 9-digit parameters one int per move would
-    hold 1.1 MiB more through the solve."""
+    hold 1.1 MiB more through the solve. Each distinct rate object is
+    scaled once, as build_generator's rows share six: a Fraction's
+    numerator and denominator are Python-level properties."""
     i, j, rates = _entries(g.rows)
-    scale = lcm(*{f.denominator for f in rates})
-    scaled = (f.numerator * (scale // f.denominator) for f in rates)
-    # the dict keeps the first int of each value, and every move takes that one
-    v = np.fromiter(map({}.setdefault, *tee(scaled)), object, len(rates))
+    distinct = dict(zip(map(id, rates), rates)).items()
+    scale = lcm(*{f.denominator for _, f in distinct})
+    ints, scaled = {}, {}  # every move of a scaled value takes its first int
+    for k, f in distinct:
+        x = f.numerator * (scale // f.denominator)
+        scaled[k] = ints.setdefault(x, x)
+    v = np.fromiter(map(scaled.__getitem__, map(id, rates)), object, len(rates))
     diagonal = np.zeros(g.dim, dtype=object)
     np.subtract.at(diagonal, i, v)
     words = np.arange(g.dim)

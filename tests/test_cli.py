@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import gc
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -509,6 +511,96 @@ def test_closed_output_pipe_exits_quietly():
         proc.kill()
         proc.wait()
     assert err == b""
+
+
+# Each subcommand at size L, for the requests that must leave no cyclic
+# garbage that grows with their size
+BY_SIZE = {
+    "mu": lambda L: ["mu", "--L", str(L), *P_ARGS],
+    "partition": lambda L: ["partition", "--L", str(L), *P_ARGS],
+    "verify": lambda L: ["verify", "--L", str(L), *P_ARGS],
+    "sample": lambda L: ["sample", "--L", str(L), "--n", str(10 * L * L), *P_ARGS],
+    "oracle": lambda L: ["oracle", "--L", str(L), *P_ARGS],
+    "oracle --simulate": lambda L: [
+        "oracle", "--simulate", "--L", str(L), "--horizon", "20", *P_ARGS],
+    "compare": lambda L: ["compare", "--L", str(L), *P_ARGS],
+    "qweight": lambda L: [
+        "qweight", "--tau", ("10" * L)[:L], "--xi", ("01" * L)[:L], "--tilde", *P_ARGS],
+    "wsigma": lambda L: ["wsigma", "--sigma", f"{L},1,{L - 1}", "--q", "1/2"],
+}
+
+
+@pytest.mark.parametrize("command", list(BY_SIZE))
+def test_cyclic_garbage_does_not_grow_with_the_request(command, capsys):
+    # The command runs with the collector off (cli.run), which is safe only
+    # while a request's cycles are a fixed few: argparse's parser, json's
+    # encoder. A request that built cycles per path or per state would leave
+    # more at L = 8 than at L = 3.
+    argv = BY_SIZE[command]
+    assert main(argv(8)) == 0  # imports and caches, so neither run below makes them
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage = []
+        for L in (3, 8):
+            gc.collect()
+            assert main(argv(L)) == 0
+            garbage.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert garbage[0] == garbage[1] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["mu", "--L", "3", *P_ARGS], 0),
+        (["mu", "--L", "x", *P_ARGS], 2),
+        (["verify", "--identity", "basic", "--L", "2", "--q", "1/2", "--A", "4", "--B", "1"], 3),
+    ],
+    ids=["ok", "usage", "singular"],
+)
+def test_command_entry_runs_main_without_the_collector(argv, code):
+    script = (
+        "import contextlib, gc, io\n"
+        "from asep2l.cli import main, run\n"
+        "assert gc.isenabled() and gc.get_freeze_count() == 0\n"
+        "quiet = io.StringIO()\n"
+        "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
+        f"    codes = main({argv!r}), run({argv!r})\n"
+        "print(*codes, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=SRC_ENV, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == f"{code} {code} False True\n"
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    assert gc.isenabled()
+    frozen = gc.get_freeze_count()
+    assert main(["oracle", "--L", "3", *P_ARGS]) == 0
+    assert main(["mu", "--L", "x", *P_ARGS]) == 2
+    capsys.readouterr()
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+
+
+BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+BENCH_WORKLOADS = runpy.run_path(str(BENCH_RUN))["WORKLOADS"]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
+def test_module_command_prints_what_main_prints(workload, capsys):
+    # the benchmark's timed and set-up requests, at its default seed
+    w = BENCH_WORKLOADS[workload]
+    for argv in (w.args(1), w.setup_args(1)):
+        done = subprocess.run(
+            [sys.executable, "-m", "asep2l.cli", *argv], env=SRC_ENV, capture_output=True, check=True
+        )
+        assert main(argv) == 0
+        assert done.stdout == capsys.readouterr().out.encode()
 
 
 @pytest.mark.parametrize(

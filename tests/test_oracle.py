@@ -607,7 +607,7 @@ class TestExactSolvers:
         exact = inv.astype(object) @ a.astype(object)
         assert ((exact % p) == np.eye(n, dtype=object)).all()
 
-    def test_block_solve_holds_little_beyond_its_inverses(self):
+    def test_exact_solve_peaks_at_its_system_inverses_and_check(self):
         # numpy reports its buffers to tracemalloc; a first solve fills any
         # cache, so the traced one holds only what the solve itself makes
         L = 9
@@ -615,15 +615,41 @@ class TestExactSolvers:
         stationary_exact(g)
         tracemalloc.start()
         try:
-            stationary_exact(g)
+            dist = stationary_exact(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # sum over N of C(L, N)**2 int32 entries: the inverses of blocks by
-        # particle number, three times those of the levels at L = 9
-        inverses = comb(2 * L, L) * 4
-        block = comb(L, L // 2) ** 2 * 8  # one int64 matrix of the largest block
-        assert peak < inverses + 7 * block
+        # The peak is the exact check: n * slots products of a mass with an
+        # entry, on top of the system's entry arrays and padded rows, the
+        # level inverses and the lifting's vectors. At L = 9 it is about
+        # 840 KB, of which the inverses are 63 KB; the terms below sum to
+        # 935 KB.
+        n = 2 ** L
+        sizes = np.bincount([closed_form_level(w, L) for w in range(n)]).tolist()
+        # moves: half the words at each of the L - 1 pairs, every word at each end
+        entries = (L - 1) * n // 2 + 2 * n + n  # and one diagonal a word
+        slots = L + 2  # an equation's moves in from L - 1 pairs and 2 ends, and its diagonal
+        bits = max(m.bit_length() for m in dist.masses)
+        vbits = max(abs(x) for x in _integer_generator(g)[2].tolist()).bit_length()
+        # reconstruction needs about 2 * bits + 2 bits of p**k, each digit adds
+        # more than 23, and the checkpoints double k: p**k at the last one
+        lift = 48 * -(-(2 * bits + 2) // 23)
+
+        def size(b):  # of an int of b bits
+            return sys.getsizeof(1 << b)
+
+        # an int32 inverse a level, and its own and its bands' four array headers
+        inverses = sum(4 * s * s + 5 * sys.getsizeof(np.zeros(0)) for s in sizes)
+        # G's entries (i, j, v), the pinned system's (r, c, v) and its bands;
+        # the system's padded rows (idx, val), its bands' in all, the check's
+        # products; vectors of n
+        arrays = 8 * (7 * entries + 5 * n * slots + 16 * n)
+        # the check's products and row sums, the lifting's and reconstruction's
+        # vectors, and the diagonal
+        ints = n * (
+            slots * size(bits + vbits) + size(bits + vbits + 4) + 4 * size(lift) + size(vbits + 4)
+        )
+        assert peak < inverses + arrays + ints
 
     def test_inverse_mod_p_refuses_a_singular_matrix(self):
         p = next(_primes_for(3))
