@@ -63,11 +63,15 @@ def _emit(args, text: str) -> None:
             if not text.endswith("\n"):
                 fh.write("\n")
     else:
+        # The newline is a write of its own. With unbuffered stdout (python
+        # -u, PYTHONUNBUFFERED), one large write to a pipe that its reader
+        # closes mid-write returns a short count without error, which the
+        # text layer drops; only the newline after it reaches the closed
+        # pipe and raises, here or at this flush, inside main's handler
+        # rather than at interpreter exit.
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-        # a reader that closed the pipe fails this flush, inside main's
-        # handler, rather than the one at interpreter exit
         sys.stdout.flush()
 
 

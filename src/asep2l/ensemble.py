@@ -137,17 +137,14 @@ def _path_mass_into(table: dict[int, Fraction], gamma: LatticePath, wgt) -> None
 
 def _walk(L: int, p: ModelParams) -> tuple[list, Iterator[int], int]:
     """The id arrays (down, level, up) of lengths 1..L of the key walk, in
-    order, and the weights of the keys of length L as integers over the
-    closed-form denominator of weights._weigh_keys, which is returned with
-    them; it need not be the least one."""
+    order, and the stream of weights of the keys of length L, as integers
+    over the closed-form denominator of weights._weigh_keys, which is
+    returned with them; it need not be the least one."""
     links = []
     for keys, *link in _key_levels(L):
         links.append(link)
     weights, den = _weigh_keys(keys, p)
-    # weighed in full before the fold starts, but handed over as an iterator
-    # over the list: once the fold has read it into its first level, the
-    # exhausted iterator drops the list and the weights go with that level
-    return links[1:], iter(list(weights)), den
+    return links[1:], weights, den
 
 
 def _path_weights(L: int, p: ModelParams) -> tuple[list[int], int]:

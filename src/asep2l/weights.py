@@ -335,7 +335,6 @@ def partition_Z(L: int, p: ModelParams, max_L: int | None = None) -> Fraction:
                 grown[h] += 2 * m
                 grown[u] += m
             mult = grown
-    del down, level, up  # 4.5 MiB at L = 14, held while the weighing peaks
     weights, den = _weigh_keys(keys, p)  # a stream: no list of them is held
     return Fraction(sum(m * w for m, w in zip(mult, weights)), den)
 

@@ -492,18 +492,31 @@ def test_failed_command_leaves_its_out_path_as_it_was(capsys, tmp_path):
     assert kept.read_text() == "kept\n" and not fresh.exists()
 
 
-def test_closed_output_pipe_exits_quietly():
-    # 20000 lines are far more than a pipe buffers, so the writer is still
-    # writing when the reader goes away
-    argv = ["sample", "--L", "6", "--n", "20000", *P_ARGS]
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["sample", "--L", "6", "--n", "20000", *P_ARGS], b"tau,xi\n"),
+        (["mu", "--L", "12", *P_ARGS], b"{\n"),
+    ],
+    ids=["csv", "json"],
+)
+def test_closed_output_pipe_exits_quietly(argv, first, unbuffered):
+    # Each output is far more than a pipe buffers, so the writer is still
+    # writing when the reader goes away. Unbuffered, the one large write
+    # of the text returns without error, and only the newline written
+    # after it raises (cli._emit)
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "asep2l.cli", *argv],
-        env=SRC_ENV,
+        env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
     try:
-        assert proc.stdout.readline() == b"tau,xi\n"
+        assert proc.stdout.readline() == first
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141

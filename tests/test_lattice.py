@@ -226,7 +226,7 @@ class TestTauFromPath:
             tau_from_path(LatticePath([0, 0]), [0, 1])
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     bits=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=7)
 )

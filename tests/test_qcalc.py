@@ -256,7 +256,7 @@ class TestJacksonOperators:
             jackson_dq_z(BasisElement(1, [F(0), F(1)]), q)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n=st.integers(min_value=0, max_value=20),
     num=st.integers(min_value=0, max_value=8),
@@ -268,7 +268,7 @@ def test_q_number_recurrence_property(n, num, den):
     assert q_number(n + 1, q) == q_number(n, q) + q ** n
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     coeffs=st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
