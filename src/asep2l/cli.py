@@ -32,6 +32,7 @@ that a request's cyclic garbage does not grow with its size.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -56,23 +57,17 @@ def _params(args) -> ModelParams:
 
 
 def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         # The newline is a write of its own. With unbuffered stdout (python
         # -u, PYTHONUNBUFFERED), one large write to a pipe that its reader
         # closes mid-write returns a short count without error, which the
         # text layer drops; only the newline after it reaches the closed
         # pipe and raises, here or at this flush, inside main's handler
         # rather than at interpreter exit.
-        sys.stdout.write(text)
+        fh.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        sys.stdout.flush()
+            fh.write("\n")
+        fh.flush()
 
 
 def _check_out(path: str) -> None:
@@ -99,16 +94,20 @@ def _header(L: int, p: ModelParams) -> dict:
     return {"L": L, **{k: format_rational(getattr(p, k)) for k in "qAB"}}
 
 
+def _law(dist) -> dict:
+    """Each state's text mapped to the text of its probability, in state
+    order."""
+    return dict(zip(map(str, dist.states), format_ratios(dist.masses, dist.total)))
+
+
 def _cmd_mu(args) -> int:
     p = _params(args)
-    dist = ensemble.stationary_mu(args.L, p, max_L=args.max_L)
-    probs = format_ratios(dist.masses, dist.total)
+    law = _law(ensemble.stationary_mu(args.L, p, max_L=args.max_L))
     if args.format == "csv":
         lines = ["state,probability"]
-        lines += [f"{s},{pr}" for s, pr in zip(dist.states, probs)]
+        lines += [f"{s},{pr}" for s, pr in law.items()]
         _emit(args, "\n".join(lines))
     else:
-        law = {str(s): pr for s, pr in zip(dist.states, probs)}
         _emit(args, json.dumps({**_header(args.L, p), "mu": law}, indent=2))
     return EXIT_OK
 
@@ -200,9 +199,7 @@ def _cmd_oracle(args) -> int:
         _emit(args, "\n".join(lines))
         return EXIT_OK
     g = oracle.build_generator(args.L, r, max_L=args.max_L)
-    dist = oracle.stationary_exact(g)
-    probs = format_ratios(dist.masses, dist.total)
-    law = {str(s): pr for s, pr in zip(dist.states, probs)}
+    law = _law(oracle.stationary_exact(g))
     _emit(args, json.dumps({**_header(args.L, p), "pi": law}, indent=2))
     return EXIT_OK
 
@@ -231,8 +228,8 @@ def _cmd_compare(args) -> int:
         _emit(args, f"PASS: top-layer marginal equals the exact stationary law (L={args.L})")
         return EXIT_OK
     diffs = [
-        f"{s}: mu={format_rational(mp)} oracle={format_rational(op)}"
-        for (s, mp), (_, op) in zip(mu.items(), pi.items())
+        f"{s}: mu={mp} oracle={op}"
+        for (s, mp), op in zip(_law(mu).items(), _law(pi).values())
         if mp != op
     ]
     _emit(args, "FAIL:\n" + "\n".join(diffs))

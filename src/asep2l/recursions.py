@@ -50,6 +50,7 @@ from itertools import product
 from operator import add
 
 from .lattice import Occupation, admit, enumerate_occupations, enumerate_pairs
+from .rational import format_rational
 from .record import Record
 from .weights import ModelParams, _fold_masses, _key_levels, _next_ids, _weigh_keys
 
@@ -65,8 +66,8 @@ class Failure(Record):
     def to_dict(self) -> dict:
         return {
             "inputs": {k: str(v) for k, v in self.inputs.items()},
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": format_rational(self.lhs),
+            "rhs": format_rational(self.rhs),
         }
 
 
@@ -98,9 +99,7 @@ class VerificationReport(Record):
         return {
             "identity": self.identity,
             "sizes": self.sizes,
-            "q": str(self.params.q),
-            "A": str(self.params.A),
-            "B": str(self.params.B),
+            **{k: format_rational(getattr(self.params, k)) for k in "qAB"},
             "instances": self.instances,
             "passed": self.passed,
             "failures": [f.to_dict() for f in self.failures],

@@ -25,7 +25,7 @@ from asep2l.ensemble import (
 from asep2l.errors import EnumerationCapExceeded
 from asep2l.lattice import MAX_L, Occupation, enumerate_occupations
 from asep2l.oracle import build_generator, gillespie_simulate, rates_from_params
-from asep2l.rational import parse_rational
+from asep2l.rational import format_rational, parse_rational
 from asep2l.recursions import (
     check_basic_weight_equations,
     check_bulk,
@@ -67,15 +67,6 @@ class TestMu:
         lines = out.strip().splitlines()
         assert lines[0] == "state,probability"
         assert len(lines) == 3
-
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "mu.json"
-        code, out = run(
-            capsys, "mu", "--L", "1", "--q", "0", "--A", "1", "--B", "1",
-            "--out", str(target),
-        )
-        assert code == 0 and out == ""
-        assert json.loads(target.read_text())["L"] == 1
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "mu", "--L", "2", "--q", "1/2", "--A", "-1", "--B", "1")[0] == 2
@@ -284,6 +275,30 @@ class TestOracleAndCompare:
         )
         assert code == 0 and out.startswith("PASS")
 
+    def test_compare_lists_each_state_that_differs(self, monkeypatch, capsys):
+        from asep2l import oracle
+        from asep2l.ensemble import Distribution
+
+        exact = oracle.stationary_exact
+
+        def one_mass_raised(g):
+            law = exact(g)
+            masses = list(law.masses)
+            masses[3] += 1
+            return Distribution(law.states, masses)
+
+        monkeypatch.setattr(oracle, "stationary_exact", one_mass_raised)
+        code, out = run(capsys, "compare", "--L", "3", *P_ARGS)
+        mu, pi = stationary_mu(3, P), one_mass_raised(build_generator(3, RATES))
+        expected = [
+            f"{s}: mu={format_rational(mu.prob(s))} oracle={format_rational(pi.prob(s))}"
+            for s in enumerate_occupations(3)
+            if mu.prob(s) != pi.prob(s)
+        ]
+        # the raised mass moves the total, so every state's probability differs
+        assert code == 1 and len(expected) == 8
+        assert out.splitlines() == ["FAIL:", *expected]
+
 
 class TestSample:
     def test_csv_shape_and_determinism(self, capsys):
@@ -312,6 +327,54 @@ class TestSample:
             batch = sample_two_layer(L, P, 300, seed=17)
             expected = ["tau,xi"] + [f"{tau},{xi}" for tau, xi in batch.draws]
             assert out.splitlines() == expected
+
+
+# One request of each kind of output the command writes
+OUT_REQUESTS = {
+    "mu": ["mu", "--L", "3", *P_ARGS],
+    "mu csv": ["mu", "--L", "3", *P_ARGS, "--format", "csv"],
+    "oracle": ["oracle", "--L", "3", *P_ARGS],
+    "compare": ["compare", "--L", "3", *P_ARGS],
+    "verify": ["verify", "--L", "2", *P_ARGS],
+    "partition": ["partition", "--L", "3", *P_ARGS],
+    "qweight": ["qweight", "--tau", "0110", "--xi", "1010", "--tilde", *P_ARGS],
+    "wsigma": ["wsigma", "--sigma", "2,1,3", "--q", "1/2"],
+    "sample": ["sample", "--L", "3", "--n", "20", "--seed", "7", *P_ARGS],
+    "oracle --simulate": ["oracle", "--L", "3", "--simulate", "--horizon", "10", *P_ARGS],
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_REQUESTS))
+def test_out_file(command, capsys, tmp_path):
+    # --out holds exactly what stdout gets, ending in one newline
+    argv = OUT_REQUESTS[command]
+    target = tmp_path / "out"
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    written = target.read_bytes()
+    assert written == printed
+    assert written.endswith(b"\n") and not written.endswith(b"\n\n")
+
+
+def test_verify_prints_a_failure_over_the_digit_limit(monkeypatch, capsys):
+    from asep2l import recursions
+
+    report = recursions.VerificationReport("left-boundary", "L=1", P)
+    report.check(F(10**5000 + 1, 3), F(1), {"k": 0})  # a side of 5,001 digits
+    monkeypatch.setattr(recursions, "_verify", lambda L, p, which: [report])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["verify", "--L", "1", *P_ARGS])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    failure = json.loads(captured.out)["reports"][0]["failures"][0]
+    assert failure == {"inputs": {"k": "0"}, "lhs": "1" + "0" * 4999 + "1/3", "rhs": "1"}
 
 
 def _handler(*argv):

@@ -14,6 +14,7 @@ path from site 1, so the two sides are not computed the same way.
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -60,17 +61,29 @@ def reflected(tau: Occupation) -> Occupation:
     return Occupation.from_bits([1 - b for b in reversed(tau.bits())])
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(points())
-@example((F(1, 2), F(4), F(1)))
-@example(NINE_DIGIT)
-@example((F(0), F(0), F(0)))
-def test_marginal_matches_the_oracle_and_the_reflection(point):
+def check(point, sizes):
     q, A, B = point
     p, swapped = ModelParams(q, A, B), ModelParams(q, B, A)
-    for L in range(6):
+    for L in sizes:
         mu = stationary_mu(L, p)
         mirror = stationary_mu(L, swapped)
         assert all(mu.prob(tau) == mirror.prob(reflected(tau)) for tau in mu.states)
         if L:
             assert mu == stationary_exact(build_generator(L, rates_from_params(p)))
+
+
+FIXED = [(F(1, 2), F(4), F(1)), NINE_DIGIT, (F(0), F(0), F(0))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(points())
+@example(FIXED[0])
+@example(FIXED[1])
+@example(FIXED[2])
+def test_marginal_matches_the_oracle_and_the_reflection(point):
+    check(point, range(7))
+
+
+@pytest.mark.parametrize("point", FIXED, ids=["pole", "9-digit", "zero"])
+def test_fixed_points_above_the_drawn_sizes(point):
+    check(point, (7, 8))

@@ -1,5 +1,6 @@
 """Tests for the exhaustive identity checkers."""
 
+import sys
 from fractions import Fraction as F
 from functools import cache
 
@@ -17,6 +18,7 @@ from asep2l.lattice import (
 )
 from asep2l.recursions import (
     FAILURES_KEPT,
+    Failure,
     VerificationReport,
     check_basic_weight_equations,
     check_bulk,
@@ -401,3 +403,13 @@ class TestReportMechanics:
         report = check_left_boundary(0, GRID[1])
         d = report.to_dict()
         assert d["passed"] is True and d["instances"] == 2
+
+    def test_a_failure_over_the_digit_limit_serializes(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            d = Failure({"k": 0}, F(10**5000 + 1, 3), F(1)).to_dict()
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert d == {"inputs": {"k": "0"}, "lhs": "1" + "0" * 4999 + "1/3", "rhs": "1"}
